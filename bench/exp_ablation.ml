@@ -14,11 +14,12 @@
 module SSet = Ir.Cfg.SSet
 module SMap = Ir.Cfg.SMap
 
-let analyze ?(control_flow = true) program args world =
+let analyze ?(control_flow = true) (t : Apps.Target.t) =
   let config =
     { Interp.Machine.default_config with control_flow_taint = control_flow }
   in
-  Perf_taint.Pipeline.analyze ~config ~world program ~args
+  Perf_taint.Pipeline.analyze ~config ~world:t.taint_world t.program
+    ~args:t.taint_args
 
 let dep_diff (full : Perf_taint.Pipeline.t) (ablated : Perf_taint.Pipeline.t) =
   SMap.fold
@@ -32,9 +33,10 @@ let dep_diff (full : Perf_taint.Pipeline.t) (ablated : Perf_taint.Pipeline.t) =
 let control_flow_ablation () =
   Exp_common.note "-- ablation 1: control-flow tainting off --";
   List.map
-    (fun (name, program, args, world) ->
-      let full = analyze program args world in
-      let ablated = analyze ~control_flow:false program args world in
+    (fun (target : Apps.Target.t) ->
+      let name = target.name in
+      let full = analyze target in
+      let ablated = analyze ~control_flow:false target in
       let missed = dep_diff full ablated in
       Exp_common.measured
         "%s: without control-flow tainting, %d functions lose dependencies:"
@@ -45,10 +47,7 @@ let control_flow_ablation () =
             (String.concat "," (SSet.elements params)))
         missed;
       (name, List.length missed))
-    [ ("lulesh", Apps.Lulesh.program, Apps.Lulesh.taint_args,
-       Apps.Lulesh.taint_world);
-      ("milc", Apps.Milc.program, Apps.Milc.taint_args, Apps.Milc.taint_world)
-    ]
+    [ Exp_common.lulesh; Exp_common.milc ]
 
 let library_db_ablation () =
   Exp_common.note "-- ablation 2: MPI library database off --";

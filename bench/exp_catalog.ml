@@ -3,10 +3,14 @@
     engineer actually consumes (Extra-P's per-function output), plus the
     JSON export exercised end to end. *)
 
-let catalog name (t : Perf_taint.Pipeline.t) app ~selective ~designf
-    ~model_params ~aliases ~config =
-  let design = designf ~mode:(Measure.Instrument.Selective selective) in
-  let runs = Measure.Experiment.run_design app Exp_common.machine design in
+let catalog (target : Apps.Target.t) (t : Perf_taint.Pipeline.t) ~selective =
+  let name = target.name in
+  let m = Exp_common.measurement target in
+  let model_params = Measure.Experiment.fit_params m.grid in
+  let design =
+    Exp_common.design target ~mode:(Measure.Instrument.Selective selective)
+  in
+  let runs = Measure.Experiment.run_design m.spec Exp_common.machine design in
   let entries =
     List.filter_map
       (fun fname ->
@@ -18,9 +22,10 @@ let catalog name (t : Perf_taint.Pipeline.t) app ~selective ~designf
         else
           let c =
             Perf_taint.Modeling.constraints_aliased t
-              Perf_taint.Modeling.Tainted ~model_params ~aliases fname
+              Perf_taint.Modeling.Tainted ~model_params
+              ~aliases:target.aliases fname
           in
-          let r = Model.Search.multi ~config ~constraints:c data in
+          let r = Model.Search.multi ~config:m.search ~constraints:c data in
           Some (fname, r, data))
       (Measure.Instrument.SSet.elements selective)
   in
@@ -48,20 +53,14 @@ let catalog name (t : Perf_taint.Pipeline.t) app ~selective ~designf
 let run () =
   Exp_common.section "Model catalog: every fitted hybrid model";
   let l_funcs, l_bytes, l_smape =
-    catalog "lulesh"
+    catalog Exp_common.lulesh
       (Lazy.force Exp_common.lulesh_analysis)
-      Apps.Lulesh_spec.app
       ~selective:(Lazy.force Exp_common.lulesh_selective)
-      ~designf:Exp_common.lulesh_design ~model_params:[ "p"; "size" ]
-      ~aliases:[] ~config:Model.Search.default_config
   in
   let m_funcs, m_bytes, m_smape =
-    catalog "milc"
+    catalog Exp_common.milc
       (Lazy.force Exp_common.milc_analysis)
-      Apps.Milc_spec.app
       ~selective:(Lazy.force Exp_common.milc_selective)
-      ~designf:Exp_common.milc_design ~model_params:[ "p"; "size" ]
-      ~aliases:Exp_common.milc_aliases ~config:Model.Search.extended_config
   in
   let module J = Measure.Jsonio in
   let app name funcs bytes smape =

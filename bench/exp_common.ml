@@ -6,21 +6,23 @@ module SSet = Measure.Instrument.SSet
 
 let machine = Mpi_sim.Machine.skylake_cluster
 
+(* -- the bundled apps ---------------------------------------------------------- *)
+
+let target name = Option.get (Apps.Target.find name)
+let lulesh = target "lulesh"
+let milc = target "milc"
+let minicg = target "minicg"
+
+(** The measurement facts (spec, grid, search space) of a measured app. *)
+let measurement (t : Apps.Target.t) = Option.get t.measured
+
 (* -- memoised taint analyses ---------------------------------------------- *)
 
-let lulesh_analysis =
-  lazy
-    (Perf_taint.Pipeline.analyze ~world:Apps.Lulesh.taint_world
-       Apps.Lulesh.program ~args:Apps.Lulesh.taint_args)
+let analyze (t : Apps.Target.t) =
+  Perf_taint.Pipeline.analyze ~world:t.taint_world t.program ~args:t.taint_args
 
-let milc_analysis =
-  lazy
-    (Perf_taint.Pipeline.analyze ~world:Apps.Milc.taint_world
-       Apps.Milc.program ~args:Apps.Milc.taint_args)
-
-(* MILC models in (p, size) while the program's parameters are the four
-   lattice extents. *)
-let milc_aliases = [ ("size", [ "nx"; "ny"; "nz"; "nt" ]) ]
+let lulesh_analysis = lazy (analyze lulesh)
+let milc_analysis = lazy (analyze milc)
 
 (** Taint-derived instrumentation selection: the relevant application
     functions plus the MPI routines they use. *)
@@ -42,27 +44,13 @@ let milc_selective =
 
 (* -- experiment designs ---------------------------------------------------- *)
 
-(** The paper's 5x5 grid with 5 repetitions; ranks-per-node pinned to 8 so
-    that hardware contention stays constant across the design (the paper
-    notes models are hardware-independent only at such saturation levels). *)
-let design ?(reps = 5) ?(sigma = 0.02) ?(seed = 42) ~mode ~p_values
-    ~size_values () =
-  {
-    Measure.Experiment.grid =
-      [ ("p", p_values); ("size", size_values); ("r", [ 8. ]) ];
-    reps;
-    mode;
-    sigma;
-    seed;
-  }
-
-let lulesh_design ~mode =
-  design ~mode ~p_values:Apps.Lulesh_spec.p_values
-    ~size_values:Apps.Lulesh_spec.size_values ()
-
-let milc_design ~mode =
-  design ~mode ~p_values:Apps.Milc_spec.p_values
-    ~size_values:Apps.Milc_spec.size_values ()
+(** The app's 5x5 campaign grid with 5 repetitions; ranks-per-node pinned
+    to 8 so that hardware contention stays constant across the design (the
+    paper notes models are hardware-independent only at such saturation
+    levels). *)
+let design ?(seed = 42) (t : Apps.Target.t) ~mode =
+  { Measure.Experiment.grid = (measurement t).grid; reps = 5; mode;
+    sigma = 0.02; seed }
 
 (* -- machine-readable output ------------------------------------------------ *)
 

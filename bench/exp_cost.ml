@@ -2,10 +2,11 @@
     experiment campaign under full versus taint-based selective
     instrumentation, plus the cost of the taint analysis itself. *)
 
-let campaign app design = Measure.Experiment.run_design app Exp_common.machine design
-
-let core_hours app ~mode ~designf =
-  Measure.Experiment.core_hours (campaign app (designf ~mode))
+let core_hours target ~mode =
+  Measure.Experiment.core_hours
+    (Measure.Experiment.run_design (Exp_common.measurement target).spec
+       Exp_common.machine
+       (Exp_common.design target ~mode))
 
 let run () =
   Exp_common.section "A3: core-hour cost of the modeling experiments";
@@ -13,22 +14,16 @@ let run () =
     "LULESH: 20483 h (full) -> 547 h (taint-based), -97.3%%; MILC: 364 h -> \
      321 h, -13.4%%; taint analysis itself costs 1 h / 16 h";
   let lulesh_full =
-    core_hours Apps.Lulesh_spec.app ~mode:Measure.Instrument.Full
-      ~designf:Exp_common.lulesh_design
+    core_hours Exp_common.lulesh ~mode:Measure.Instrument.Full
   in
   let lulesh_sel =
-    core_hours Apps.Lulesh_spec.app
+    core_hours Exp_common.lulesh
       ~mode:(Measure.Instrument.Selective (Lazy.force Exp_common.lulesh_selective))
-      ~designf:Exp_common.lulesh_design
   in
-  let milc_full =
-    core_hours Apps.Milc_spec.app ~mode:Measure.Instrument.Full
-      ~designf:Exp_common.milc_design
-  in
+  let milc_full = core_hours Exp_common.milc ~mode:Measure.Instrument.Full in
   let milc_sel =
-    core_hours Apps.Milc_spec.app
+    core_hours Exp_common.milc
       ~mode:(Measure.Instrument.Selective (Lazy.force Exp_common.milc_selective))
-      ~designf:Exp_common.milc_design
   in
   let reduction full sel = 100. *. (full -. sel) /. full in
   Exp_common.measured

@@ -7,7 +7,7 @@
 module E = Model.Expr
 
 let fit_from_mode ~mode =
-  let design = Exp_common.lulesh_design ~mode in
+  let design = Exp_common.design Exp_common.lulesh ~mode in
   let runs =
     Measure.Experiment.run_design Apps.Lulesh_spec.app Exp_common.machine design
   in

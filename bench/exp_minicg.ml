@@ -5,17 +5,13 @@
 
 module E = Model.Expr
 
-let analysis =
-  lazy
-    (Perf_taint.Pipeline.analyze ~world:Apps.Minicg.taint_world
-       Apps.Minicg.program ~args:Apps.Minicg.taint_args)
+let target = Exp_common.minicg
+let analysis = lazy (Exp_common.analyze target)
 
 let run () =
   Exp_common.section "Appendix: miniCG end to end (third application)";
   let t = Lazy.force analysis in
-  let ov =
-    Perf_taint.Report.overview t ~model_params:Apps.Minicg.model_params
-  in
+  let ov = Perf_taint.Report.overview t ~model_params:target.model_params in
   Fmt.pr "  %a@." Perf_taint.Report.pp_overview ov;
   (* Key dependency facts. *)
   Exp_common.measured "spmv deps = {%s}; n x nnz multiplicative: %b"
@@ -25,36 +21,25 @@ let run () =
   Exp_common.measured "maxit is a global factor: %b"
     (Perf_taint.Design.is_global_factor t "maxit");
   (* Hybrid models vs ground truth on a (p, n) campaign. *)
+  let m = Exp_common.measurement target in
   let selective =
-    Measure.Instrument.SSet.of_list
-      (Perf_taint.Pipeline.relevant_functions t
-         ~model_params:Apps.Minicg.model_params
-      @ Ir.Cfg.SSet.elements (Perf_taint.Pipeline.mpi_routines_used t))
-  in
-  let design =
-    {
-      Measure.Experiment.grid =
-        [ ("p", Apps.Minicg_spec.p_values); ("n", Apps.Minicg_spec.n_values);
-          ("r", [ 8. ]) ];
-      reps = 5;
-      mode = Measure.Instrument.Selective selective;
-      sigma = 0.02;
-      seed = 23;
-    }
+    Exp_common.selective_set t ~model_params:target.model_params
   in
   let runs =
-    Measure.Experiment.run_design Apps.Minicg_spec.app Exp_common.machine
-      design
+    Measure.Experiment.run_design m.spec Exp_common.machine
+      (Exp_common.design ~seed:23 target
+         ~mode:(Measure.Instrument.Selective selective))
   in
+  let model_params = Measure.Experiment.fit_params m.grid in
   let fit fname =
     let data =
-      Measure.Experiment.kernel_dataset runs ~params:[ "p"; "n" ] ~kernel:fname
+      Measure.Experiment.kernel_dataset runs ~params:model_params ~kernel:fname
     in
     let c =
       Perf_taint.Modeling.constraints t Perf_taint.Modeling.Tainted
-        ~model_params:[ "p"; "n" ] fname
+        ~model_params fname
     in
-    Model.Search.multi ~config:Model.Search.extended_config ~constraints:c data
+    Model.Search.multi ~config:m.search ~constraints:c data
   in
   List.iter
     (fun fname ->
@@ -68,19 +53,8 @@ let run () =
     (* The third-app study opts into the acceptance margin: both modes
        then refuse sub-10%-improvement parametric fits. *)
     Exp_quality.campaign
-      ~config:{ Model.Search.extended_config with min_improvement = 0.1 } t
-      Apps.Minicg_spec.app ~selective
-      ~designf:(fun ~mode ->
-        {
-          Measure.Experiment.grid =
-            [ ("p", Apps.Minicg_spec.p_values);
-              ("n", Apps.Minicg_spec.n_values); ("r", [ 8. ]) ];
-          reps = 5;
-          mode;
-          sigma = 0.02;
-          seed = 23;
-        })
-      ~model_params:[ "p"; "n" ] ~aliases:[]
+      ~config:{ Model.Search.extended_config with min_improvement = 0.1 }
+      ~seed:23 Exp_common.minicg t ~selective
   in
   (* The strong-scaling crossover: at what p do the log p reductions
      overtake the shrinking SpMV?  Project with the fitted models. *)

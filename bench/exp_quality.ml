@@ -71,14 +71,26 @@ let print_interesting verdicts =
           (if v.v_tainted_ok then "(ok)" else "(WRONG DEPS)"))
     verdicts
 
-let campaign ?config (t : Perf_taint.Pipeline.t) app ~selective ~designf
-    ~model_params ~aliases =
-  let design = designf ~mode:(Measure.Instrument.Selective selective) in
+(* The app's campaign grid under selective instrumentation, fitted with
+   its own search space unless [config] overrides it. *)
+let campaign ?config ?seed (target : Apps.Target.t) (t : Perf_taint.Pipeline.t)
+    ~selective =
+  let m = Exp_common.measurement target in
+  let app = m.spec in
+  let design =
+    Exp_common.design ?seed target
+      ~mode:(Measure.Instrument.Selective selective)
+  in
+  let model_params = Measure.Experiment.fit_params m.grid in
   let kernels = Measure.Instrument.SSet.elements selective in
   let _, datasets =
     Exp_common.run_and_collect app design ~params:model_params ~kernels
   in
-  let verdicts = evaluate ~aliases ?config t app ~model_params datasets in
+  let verdicts =
+    evaluate ~aliases:target.aliases
+      ~config:(Option.value config ~default:m.search)
+      t app ~model_params datasets
+  in
   let sound, black_ok, tainted_ok = summarize verdicts in
   Exp_common.measured
     "%s: of %d statistically sound functions (CoV <= 0.1): black-box \
@@ -97,19 +109,15 @@ let run () =
   let lulesh = Lazy.force Exp_common.lulesh_analysis in
   let milc = Lazy.force Exp_common.milc_analysis in
   let lv =
-    campaign lulesh Apps.Lulesh_spec.app
+    campaign Exp_common.lulesh lulesh
       ~selective:(Lazy.force Exp_common.lulesh_selective)
-      ~designf:Exp_common.lulesh_design
-      ~model_params:[ "p"; "size" ] ~aliases:[]
   in
+  (* MILC's per-rank workload shrinks with p: its search space is the
+     extended (negative-exponent) menu, as a strong-scaling study's
+     would be. *)
   let mv =
-    (* MILC's per-rank workload shrinks with p: give the search the
-       extended (negative-exponent) menu, as a strong-scaling study
-       would. *)
-    campaign ~config:Model.Search.extended_config milc Apps.Milc_spec.app
+    campaign Exp_common.milc milc
       ~selective:(Lazy.force Exp_common.milc_selective)
-      ~designf:Exp_common.milc_design
-      ~model_params:[ "p"; "size" ] ~aliases:Exp_common.milc_aliases
   in
   (* MPI_Comm_rank: the flagship example of a constant function rescued
      from noise. *)

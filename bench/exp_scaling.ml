@@ -11,7 +11,7 @@ let run () =
   let t = Lazy.force Exp_common.lulesh_analysis in
   let selective = Lazy.force Exp_common.lulesh_selective in
   let design =
-    Exp_common.lulesh_design ~mode:(Measure.Instrument.Selective selective)
+    Exp_common.design Exp_common.lulesh ~mode:(Measure.Instrument.Selective selective)
   in
   let runs =
     Measure.Experiment.run_design Apps.Lulesh_spec.app Exp_common.machine

@@ -10,107 +10,13 @@ open Cmdliner
 
 (* -- program selection ------------------------------------------------------ *)
 
-type target = {
-  program : Ir.Types.program;
-  args : Ir.Types.value list;
-  world : Mpi_sim.Runtime.world;
-  model_params : string list;
-  spec : Measure.Spec.app option;
-  aliases : (string * string list) list;
-}
-
-let bundled = [ "lulesh"; "milc"; "minicg"; "iterate"; "foo"; "matrix"; "select" ]
-
-let target_of_app ?ranks ?params name =
-  let override_args named =
-    match params with
-    | None -> List.map snd named
-    | Some bindings ->
-      List.map
-        (fun (pname, v) ->
-          match List.assoc_opt pname bindings with
-          | Some x -> Ir.Types.VInt x
-          | None -> v)
-        named
-  in
-  let world default =
-    match ranks with
-    | Some r -> { Mpi_sim.Runtime.ranks = r; rank = 0 }
-    | None -> default
-  in
-  let entry_params (p : Ir.Types.program) =
-    (Ir.Types.find_func p p.Ir.Types.entry).Ir.Types.fparams
-  in
-  let with_defaults program defaults w mp spec aliases =
-    let named = List.combine (entry_params program) defaults in
-    {
-      program;
-      args = override_args named;
-      world = world w;
-      model_params = mp;
-      spec;
-      aliases;
-    }
-  in
-  match name with
-  | "lulesh" ->
-    Ok
-      (with_defaults Apps.Lulesh.program Apps.Lulesh.taint_args
-         Apps.Lulesh.taint_world Apps.Lulesh.model_params
-         (Some Apps.Lulesh_spec.app) [])
-  | "milc" ->
-    Ok
-      (with_defaults Apps.Milc.program Apps.Milc.taint_args
-         Apps.Milc.taint_world Apps.Milc.model_params (Some Apps.Milc_spec.app)
-         [ ("size", [ "nx"; "ny"; "nz"; "nt" ]) ])
-  | "minicg" ->
-    Ok
-      (with_defaults Apps.Minicg.program Apps.Minicg.taint_args
-         Apps.Minicg.taint_world Apps.Minicg.model_params
-         (Some Apps.Minicg_spec.app) [])
-  | "iterate" ->
-    Ok
-      (with_defaults Apps.Didactic.iterate_example
-         [ VInt 10; VInt 2 ] Mpi_sim.Runtime.default_world [ "size"; "step" ]
-         None [])
-  | "foo" ->
-    Ok
-      (with_defaults Apps.Didactic.foo_example
-         [ VInt 3; VInt 1; VInt 0 ] Mpi_sim.Runtime.default_world
-         [ "a"; "b"; "c" ] None [])
-  | "matrix" ->
-    Ok
-      (with_defaults Apps.Didactic.matrix_init
-         [ VInt 6; VInt 8 ] Mpi_sim.Runtime.default_world [ "rows"; "cols" ]
-         None [])
-  | "select" ->
-    Ok
-      (with_defaults Apps.Didactic.algorithm_selection
-         [ VInt 2 ] Mpi_sim.Runtime.default_world [ "a" ] None [])
-  | other ->
-    if Sys.file_exists other && Sys.is_directory other then
-      Error (Printf.sprintf "%s is a directory, not a .pir file" other)
-    else if Sys.file_exists other then begin
-      let program = Ir.Parser.parse_file other in
-      let formals = entry_params program in
-      (* Unset parameters of a user-supplied program default to 4. *)
-      let defaults = List.map (fun _ -> Ir.Types.VInt 4) formals in
-      Ok
-        (with_defaults program defaults Mpi_sim.Runtime.default_world formals
-           None [])
-    end
-    else
-      Error
-        (Printf.sprintf "unknown app %s (bundled: %s, or a .pir file path)"
-           other
-           (String.concat ", " bundled))
-
 (* -- common arguments ------------------------------------------------------- *)
 
 let app_arg =
   let doc =
-    "Program to analyze: a bundled mini-app (lulesh, milc, minicg, iterate, \
-     foo, matrix, select) or a path to a .pir file."
+    Printf.sprintf
+      "Program to analyze: a bundled mini-app (%s) or a path to a .pir file."
+      (String.concat ", " Apps.Target.names)
   in
   Arg.(value & pos 0 string "lulesh" & info [] ~docv:"APP" ~doc)
 
@@ -122,12 +28,59 @@ let param_arg =
   let doc = "Override an entry parameter, e.g. --set size=8 (repeatable)." in
   Arg.(value & opt_all (pair ~sep:'=' string int) [] & info [ "set" ] ~doc)
 
+let fail_usage msg =
+  Fmt.epr "error: %s@." msg;
+  exit 2
+
+(* A bundled app's descriptor, or one synthesized for a .pir file, with
+   the --ranks/--set overrides applied to its taint world and args. *)
 let resolve name ranks params =
-  match target_of_app ?ranks ~params name with
-  | Ok t -> t
-  | Error msg ->
-    Fmt.epr "error: %s@." msg;
-    exit 2
+  let entry_params (p : Ir.Types.program) =
+    (Ir.Types.find_func p p.Ir.Types.entry).Ir.Types.fparams
+  in
+  let override (t : Apps.Target.t) =
+    {
+      t with
+      taint_args =
+        List.map2
+          (fun pname v ->
+            match List.assoc_opt pname params with
+            | Some x -> Ir.Types.VInt x
+            | None -> v)
+          (entry_params t.program) t.taint_args;
+      taint_world =
+        (match ranks with
+        | Some r -> { Mpi_sim.Runtime.ranks = r; rank = 0 }
+        | None -> t.taint_world);
+    }
+  in
+  match Apps.Target.find name with
+  | Some t -> override t
+  | None ->
+    if Sys.file_exists name && Sys.is_directory name then
+      fail_usage (Printf.sprintf "%s is a directory, not a .pir file" name)
+    else if Sys.file_exists name then begin
+      let program = Ir.Parser.parse_file name in
+      let formals = entry_params program in
+      (* Unset parameters of a user-supplied program default to 4. *)
+      override
+        { Apps.Target.name; program;
+          taint_args = List.map (fun _ -> Ir.Types.VInt 4) formals;
+          taint_world = Mpi_sim.Runtime.default_world;
+          model_params = formals; aliases = []; measured = None }
+    end
+    else
+      fail_usage
+        (Printf.sprintf "unknown app %s (bundled: %s, or a .pir file path)"
+           name
+           (String.concat ", " Apps.Target.names))
+
+(* The measurement facts of a resolved target, for the subcommands that
+   run a campaign. *)
+let measured (t : Apps.Target.t) =
+  match Apps.Target.require_measured t with
+  | Ok m -> m
+  | Error msg -> fail_usage msg
 
 let trace_arg =
   let doc =
@@ -209,16 +162,17 @@ let error_guard f =
 
 (* Run the pipeline over a target; when [trace] names a file, record the
    full span/instant stream and dump it as Chrome trace JSON. *)
-let analyze_target ?engine ?config ?metrics ?trace ?profile t =
+let analyze_target ?engine ?config ?metrics ?trace ?profile
+    (t : Apps.Target.t) =
   match trace with
   | None ->
     Perf_taint.Pipeline.analyze ?engine ?config ?metrics ?profile
-      ~world:t.world t.program ~args:t.args
+      ~world:t.taint_world t.program ~args:t.taint_args
   | Some path ->
     let sink = Obs_trace.create () in
     let a =
       Perf_taint.Pipeline.analyze ?engine ?config ?metrics ?profile
-        ~trace:sink ~world:t.world t.program ~args:t.args
+        ~trace:sink ~world:t.taint_world t.program ~args:t.taint_args
     in
     (try Obs_trace.write_file sink path
      with Sys_error msg ->
@@ -338,8 +292,8 @@ let run_cmd =
         match trace with None -> None | Some _ -> Some (Obs_trace.create ())
       in
       let m = E.create ~config ?trace:sink t.program in
-      Mpi_sim.Runtime.install_host (module E) t.world m;
-      let v, _ = E.run m t.args in
+      Mpi_sim.Runtime.install_host (module E) t.taint_world m;
+      let v, _ = E.run m t.taint_args in
       (match (trace, sink) with
       | Some path, Some sink ->
         (try Obs_trace.write_file sink path
@@ -426,8 +380,8 @@ let coverage_cmd =
             with type t = a
              and type pstate = Interp.Coverage_policy.state) =
         let m = E.create ~config t.program in
-        Mpi_sim.Runtime.install_host (module E) t.world m;
-        ignore (E.run m t.args);
+        Mpi_sim.Runtime.install_host (module E) t.taint_world m;
+        ignore (E.run m t.taint_args);
         (E.policy_state m, E.steps_executed m)
       in
       let cov, steps =
@@ -511,50 +465,35 @@ let func_arg =
   let doc = "Function to model (default: every selected function)." in
   Arg.(value & opt (some string) None & info [ "func" ] ~doc)
 
+(* The taint-derived instrumentation selection: the relevant functions
+   plus the MPI routines they use. *)
+let selective_set a (t : Apps.Target.t) =
+  Measure.Instrument.SSet.of_list
+    (Perf_taint.Pipeline.relevant_functions a ~model_params:t.model_params
+    @ Ir.Cfg.SSet.elements (Perf_taint.Pipeline.mpi_routines_used a))
+
 let model_cmd =
   let run name ranks params mode func events trace max_steps jobs =
     error_guard @@ fun () ->
     with_jobs jobs @@ fun pool ->
     with_events events @@ fun events ->
     let t = resolve name ranks params in
-    let spec =
-      match t.spec with
-      | Some s -> s
-      | None ->
-        Fmt.epr "error: %s has no measurement spec (use lulesh or milc)@." name;
-        exit 2
-    in
+    let m = measured t in
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
-    let machine = Mpi_sim.Machine.skylake_cluster in
-    let selective =
-      Measure.Instrument.SSet.of_list
-        (Perf_taint.Pipeline.relevant_functions a ~model_params:t.model_params
-        @ Ir.Cfg.SSet.elements (Perf_taint.Pipeline.mpi_routines_used a))
-    in
-    let grid =
-      if name = "milc" then
-        [ ("p", Apps.Milc_spec.p_values); ("size", Apps.Milc_spec.size_values);
-          ("r", [ 8. ]) ]
-      else
-        [ ("p", Apps.Lulesh_spec.p_values);
-          ("size", Apps.Lulesh_spec.size_values); ("r", [ 8. ]) ]
-    in
+    let selective = selective_set a t in
     let design =
-      { Measure.Experiment.grid; reps = 5;
+      { Measure.Experiment.grid = m.grid; reps = 5;
         mode = Measure.Instrument.Selective selective; sigma = 0.02; seed = 42 }
     in
-    let runs = Measure.Experiment.run_design ?pool spec machine design in
-    let config =
-      let c =
-        if name = "milc" then Model.Search.extended_config
-        else Model.Search.default_config
-      in
-      { c with Model.Search.pool; events }
+    let runs =
+      Measure.Experiment.run_design ?pool m.spec Mpi_sim.Machine.skylake_cluster
+        design
     in
+    let config = { m.search with Model.Search.pool; events } in
     let fit fname =
       let data =
-        Measure.Experiment.kernel_dataset runs ~params:t.model_params
-          ~kernel:fname
+        Measure.Experiment.kernel_dataset runs
+          ~params:(Measure.Experiment.fit_params m.grid) ~kernel:fname
       in
       if data.Model.Dataset.points = [] then
         Fmt.pr "  %-36s (not measured)@." fname
@@ -702,25 +641,14 @@ let contention_cmd =
   let run name ranks params trace max_steps =
     error_guard @@ fun () ->
     let t = resolve name ranks params in
-    let spec =
-      match t.spec with
-      | Some s -> s
-      | None ->
-        Fmt.epr "error: %s has no measurement spec@." name;
-        exit 2
-    in
+    let m = measured t in
     let a = analyze_target ?config:(config_of max_steps) ?trace t in
-    let selective =
-      Measure.Instrument.SSet.of_list
-        (Perf_taint.Pipeline.relevant_functions a ~model_params:t.model_params
-        @ Ir.Cfg.SSet.elements (Perf_taint.Pipeline.mpi_routines_used a))
-    in
+    let selective = selective_set a t in
     let design =
       {
         Measure.Experiment.grid =
           [ ("p", [ 64. ]);
-            ((match name with "milc" -> "size" | "minicg" -> "n" | _ -> "size"),
-             [ (match name with "minicg" -> 1.0e6 | _ -> 30.) ]);
+            (fst m.contention, [ snd m.contention ]);
             ("r", [ 2.; 4.; 6.; 8.; 10.; 12.; 14.; 16.; 18. ]) ];
         reps = 5;
         mode = Measure.Instrument.Selective selective;
@@ -729,7 +657,8 @@ let contention_cmd =
       }
     in
     let runs =
-      Measure.Experiment.run_design spec Mpi_sim.Machine.skylake_cluster design
+      Measure.Experiment.run_design m.spec Mpi_sim.Machine.skylake_cluster
+        design
     in
     let datasets =
       List.filter_map
@@ -802,7 +731,7 @@ let validate_cmd =
           Perf_taint.Pipeline.analyze
             ?config:(config_of max_steps)
             ~world:{ Mpi_sim.Runtime.ranks = p; rank = 0 }
-            t.program ~args:t.args)
+            t.program ~args:t.taint_args)
         ats
     in
     let findings =
@@ -926,22 +855,11 @@ let campaign_cmd =
   in
   let run name ranks params faults retries backoff journal resume max_runs
       dump reps sigma seed shards shard_spec shard_timeout shard_restarts
-      kill_shards events trace max_steps jobs (_engine : Interp.Engine.tier) =
+      kill_shards events trace max_steps jobs =
     error_guard @@ fun () ->
-    (* Campaigns measure through the analytic simulator, which executes
-       no PIR; --engine is accepted so scripted invocations can pass one
-       tier everywhere, and the output is trivially identical either
-       way.  (Program-replaying campaigns go through
-       [Measure.Experiment.replay_runs], which honours the tier.) *)
     let t = resolve name ranks params in
-    let spec =
-      match t.spec with
-      | Some s -> s
-      | None ->
-        Fmt.epr "error: %s has no measurement spec (use lulesh, milc or \
-                 minicg)@." name;
-        exit 2
-    in
+    let m = measured t in
+    let spec = m.spec in
     let plan =
       match Measure.Fault.of_spec faults with
       | Ok p -> p
@@ -970,21 +888,9 @@ let campaign_cmd =
                 with --shards (use --kill-shard to inject one)";
     if kill_shards <> [] && shards = None then
       failwith "--kill-shard requires --shards";
-    let grid =
-      match name with
-      | "milc" ->
-        [ ("p", Apps.Milc_spec.p_values); ("size", Apps.Milc_spec.size_values);
-          ("r", [ 8. ]) ]
-      | "minicg" ->
-        [ ("p", Apps.Minicg_spec.p_values); ("n", Apps.Minicg_spec.n_values);
-          ("r", [ 8. ]) ]
-      | _ ->
-        [ ("p", Apps.Lulesh_spec.p_values);
-          ("size", Apps.Lulesh_spec.size_values); ("r", [ 8. ]) ]
-    in
     let design =
-      { Measure.Experiment.grid; reps; mode = Measure.Instrument.Full; sigma;
-        seed }
+      { Measure.Experiment.grid = m.grid; reps; mode = Measure.Instrument.Full;
+        sigma; seed }
     in
     let retry =
       { Measure.Campaign.default_retry with
@@ -1129,17 +1035,7 @@ let campaign_cmd =
     if report.Measure.Campaign.cp_interrupted then
       Fmt.pr "interrupted by --max-runs; continue with --resume@."
     else begin
-      let fit_params =
-        List.filter_map
-          (fun (name, vs) -> if List.length vs > 1 then Some name else None)
-          grid
-      in
-      let data =
-        Measure.Experiment.total_dataset report.Measure.Campaign.cp_runs
-          ~params:fit_params
-      in
-      let config = { Model.Search.default_config with Model.Search.pool } in
-      let fit, rejected = Model.Search.multi_robust ~config data in
+      let fit, rejected = Measure.Campaign.fit_total ?pool design report in
       Fmt.pr "total model (robust fit, %d outliers rejected): %s  (SMAPE \
               %.1f%%)@."
         rejected
@@ -1160,7 +1056,7 @@ let campaign_cmd =
         $ retries_arg $ backoff_arg $ journal_arg $ resume_arg $ max_runs_arg
         $ dump_arg $ reps_arg $ sigma_arg $ seed_arg $ shards_arg $ shard_arg
         $ shard_timeout_arg $ shard_restarts_arg $ kill_shard_arg $ events_arg
-        $ trace_arg $ max_steps_arg $ jobs_arg $ engine_arg))
+        $ trace_arg $ max_steps_arg $ jobs_arg))
 
 let fuzz_cmd =
   let seed_arg =

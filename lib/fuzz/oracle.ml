@@ -756,9 +756,10 @@ let serve_identity =
       }
     in
     let retry = { Camp.default_retry with Camp.rt_max_attempts = 3 } in
-    let program_text = Ir.Pp.program_to_string p in
     let key =
-      Cat.key ~app_name:app.Sp.aname ~program_text ~design ~plan ~retry
+      Cat.key ~fingerprint:Cat.fit_fingerprint ~app_name:app.Sp.aname
+        ~program_digest:(Cat.program_digest (Ir.Pp.program_to_string p))
+        ~design ~plan ~retry
     in
     let cold = Cat.fit ~app ~machine ~design ~plan ~retry ~key () in
     let cold_line = Cat.entry_to_line cold in

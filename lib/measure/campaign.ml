@@ -866,3 +866,14 @@ let pp_report ppf r =
       (List.filter (fun (_, n) -> n > 0) r.cp_faults);
   Fmt.pf ppf "wasted %.3f core-hours, %.3f core-hours of backoff"
     r.cp_wasted_core_hours r.cp_backoff_core_hours
+
+(* -- the total-runtime model ----------------------------------------------- *)
+
+let total_config = Model.Search.default_config
+
+let fit_total ?pool (design : Experiment.design) report =
+  let data =
+    Experiment.total_dataset report.cp_runs
+      ~params:(Experiment.fit_params design.grid)
+  in
+  Model.Search.multi_robust ~config:{ total_config with pool } data

@@ -168,3 +168,18 @@ val run_journaled :
     journal. *)
 
 val pp_report : report Fmt.t
+
+(** {1 Total-runtime model} *)
+
+val total_config : Model.Search.config
+(** The search space of every total-runtime fit:
+    {!Model.Search.default_config}. *)
+
+val fit_total :
+  ?pool:Par.Pool.t -> Experiment.design -> report -> Model.Search.result * int
+(** The outlier-robust total-runtime model of a campaign over the grid
+    axes with more than one value, plus the number of rejected
+    repetitions ({!Model.Search.multi_robust} under {!total_config}) —
+    what the [campaign] CLI prints and the serve catalog memoizes.
+    [pool] scores candidates in parallel; the result is bit-identical.
+    @raise Invalid_argument on a dataset the search cannot fit. *)

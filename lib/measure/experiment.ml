@@ -25,6 +25,11 @@ let grid_configs grid =
 
 let configs design = grid_configs design.grid
 
+let fit_params grid =
+  List.filter_map
+    (fun (name, vs) -> if List.length vs > 1 then Some name else None)
+    grid
+
 let run_design ?pool ?metrics app machine design =
   (match metrics with
   | None -> ()
@@ -59,16 +64,6 @@ let run_design ?pool ?metrics app machine design =
         run)
       results
   | _ -> List.map (fun coord -> measure ?metrics coord) coords
-
-(** Clean-replay campaign: execute a PIR program at every grid
-    configuration through the Plain engine.  Replays are deterministic,
-    so there are no repetitions — one run per configuration, the paper's
-    "many clean measurement runs" against actual programs rather than the
-    analytic spec. *)
-let replay_runs ?engine ?config ?world program ~grid =
-  List.map
-    (fun params -> Simulator.replay ?engine ?config ?world program ~params)
-    (grid_configs grid)
 
 (** Modeling dataset for one kernel: one point per configuration, one
     repetition per run.  Configurations where the kernel was not observed

@@ -17,6 +17,10 @@ val grid_configs : (string * float list) list -> Spec.params list
 val configs : design -> Spec.params list
 (** [grid_configs design.grid]. *)
 
+val fit_params : (string * float list) list -> string list
+(** The grid axes with more than one value, in grid order: the
+    parameters a model of the grid's measurements is fitted in. *)
+
 val run_design :
   ?pool:Par.Pool.t ->
   ?metrics:Obs_metrics.t ->
@@ -26,14 +30,6 @@ val run_design :
     {!Simulator.measure}).  [pool] runs the coordinates on a domain pool;
     runs and metrics are bit-identical to the serial execution (ordered
     collection; per-coordinate registries merged in design order). *)
-
-val replay_runs :
-  ?engine:Interp.Engine.tier -> ?config:Interp.Engine.config ->
-  ?world:Mpi_sim.Runtime.world ->
-  Ir.Types.program -> grid:(string * float list) list ->
-  Simulator.replay list
-(** One deterministic clean {!Simulator.replay} per grid configuration,
-    on the selected execution tier (default compiled). *)
 
 val kernel_dataset :
   Simulator.run list -> params:string list -> kernel:string -> Model.Dataset.t

@@ -121,78 +121,6 @@ let measure ?(sigma = 0.02) ?(seed = 42) ?(rep = 0) ?metrics app machine
       (run.rn_total *. float_of_int (ranks_of params) /. 3600.));
   run
 
-(* -- clean program replay ------------------------------------------------ *)
-
-(* The analytic simulator above plays measurement campaigns out of a
-   ground-truth spec; [replay] executes an actual PIR program at one
-   configuration through the Plain (shadow-free) engine — the "many clean
-   measurement runs" half of the paper's economy, on the same programs
-   the tainted pipeline analyzed. *)
-
-type replay = {
-  rp_params : Spec.params;
-  rp_value : Ir.Types.value;    (** entry-function result *)
-  rp_steps : int;               (** instructions + terminators executed *)
-  rp_work : (string * int) list;
-      (** per-function synthetic-work units, sorted by name — the
-          replay's analogue of exclusive kernel time *)
-  rp_calls : (string * int) list;  (** per-function invocation counts *)
-}
-
-(* The replay body over any shadow-free engine: the interpreted and the
-   compiled tier expose the same {!Interp.Engine.S} face, so one
-   first-class-module helper serves both. *)
-let replay_via (type a) (module E : Interp.Engine.S with type t = a) ?config
-    ~world program ~params =
-  let entry = Ir.Types.find_func program program.Ir.Types.entry in
-  (* "p" doubles as the MPI world size when the entry does not take it
-     explicitly: the communicator size enters through mpi_comm_size. *)
-  let world =
-    if List.mem "p" entry.Ir.Types.fparams then world
-    else
-      match List.assoc_opt "p" params with
-      | Some p -> { world with Mpi_sim.Runtime.ranks = int_of_float p }
-      | None -> world
-  in
-  let m = E.create ?config program in
-  Mpi_sim.Runtime.install_host (module E) world m;
-  let bindings =
-    List.map
-      (fun name ->
-        match List.assoc_opt name params with
-        | Some v -> (name, Ir.Types.VInt (int_of_float v))
-        | None ->
-          invalid_arg
-            (Printf.sprintf "replay: no value for entry parameter %s" name))
-      entry.Ir.Types.fparams
-  in
-  let v, _ = E.run_named m bindings in
-  let obs = E.observations m in
-  let fold f =
-    Hashtbl.fold
-      (fun name fo acc -> (name, f fo) :: acc)
-      obs.Interp.Observations.funcs []
-    |> List.sort compare
-  in
-  {
-    rp_params = params;
-    rp_value = v;
-    rp_steps = E.steps_executed m;
-    rp_work = fold (fun fo -> fo.Interp.Observations.fo_work);
-    rp_calls = fold (fun fo -> fo.Interp.Observations.fo_calls);
-  }
-
-let replay ?(engine = Interp.Engine.default_tier) ?config
-    ?(world = Mpi_sim.Runtime.default_world) program ~params =
-  match engine with
-  | Interp.Engine.Interpreted ->
-    replay_via (module Interp.Plain) ?config ~world program ~params
-  | Interp.Engine.Compiled ->
-    replay_via (module Interp.Compiled.Plain) ?config ~world program ~params
-
-let replay_work r name =
-  Option.value ~default:0 (List.assoc_opt name r.rp_work)
-
 (** Instrumentation overhead of a run relative to the uninstrumented wall
     time of the same configuration, as a fraction (0.0 = no overhead). *)
 let overhead run =

@@ -34,34 +34,6 @@ val measure :
     counter, a [sim.run_wall_s] histogram, and an accumulated
     [sim.core_hours] gauge. *)
 
-type replay = {
-  rp_params : Spec.params;
-  rp_value : Ir.Types.value;  (** entry-function result *)
-  rp_steps : int;             (** instructions + terminators executed *)
-  rp_work : (string * int) list;
-      (** per-function synthetic-work units, sorted by name *)
-  rp_calls : (string * int) list;  (** per-function invocation counts *)
-}
-
-val replay :
-  ?engine:Interp.Engine.tier -> ?config:Interp.Engine.config ->
-  ?world:Mpi_sim.Runtime.world ->
-  Ir.Types.program -> params:Spec.params -> replay
-(** Execute a PIR program at one configuration through the Plain
-    (shadow-free) engine — a clean measurement run on the same programs
-    the tainted pipeline analyzes.  [engine] selects the execution tier
-    (default {!Interp.Engine.default_tier}, the compiled one); both tiers
-    are bit-identical, checked continuously by the [compile-identity]
-    fuzz oracle.  Entry parameters are bound by name from [params]
-    (truncated to int); ["p"] configures the MPI world size when the
-    entry does not take it explicitly.
-    @raise Invalid_argument when an entry parameter has no value.
-    @raise Interp.Machine.Budget_exceeded / Interp.Machine.Runtime_error
-    as the engine does. *)
-
-val replay_work : replay -> string -> int
-(** Synthetic-work units attributed to one function (0 if absent). *)
-
 val overhead : run -> float
 (** Relative instrumentation overhead (0.0 = none). *)
 

@@ -67,6 +67,22 @@ let extended_config =
       @ default_config.exponents;
   }
 
+(* Bump on any change to how the search scores or selects hypotheses, so
+   that fits memoized by an older build stop matching. *)
+let algorithm_version = 1
+
+(* Only the fields that change the selected model: metrics, pool and
+   events are bit-identical by contract.  Floats in hex, so the text is
+   exact. *)
+let fingerprint c =
+  let floats l = String.concat "," (List.map (Printf.sprintf "%h") l) in
+  Printf.sprintf "search v%d exponents=%s log_exponents=%s max_terms=%d \
+                  min_improvement=%h aggregate=%s"
+    algorithm_version (floats c.exponents)
+    (String.concat "," (List.map string_of_int c.log_exponents))
+    c.max_terms c.min_improvement
+    (match c.aggregate with Mean -> "mean" | Median -> "median")
+
 type constraints = {
   allowed : string list option;
       (** parameters permitted to appear; [None] = all (black-box mode) *)

@@ -47,6 +47,15 @@ val extended_config : config
 (** [default_config] plus negative polynomial exponents, for
     strong-scaling metrics that shrink with a parameter. *)
 
+val algorithm_version : int
+(** Revision of the scoring and selection algorithm; bumped whenever the
+    same data and config could select a different model. *)
+
+val fingerprint : config -> string
+(** One exact line naming {!algorithm_version} and every config field
+    that changes the selected model ([metrics], [pool] and [events] do
+    not).  Equal fingerprints mean the search picks the same model. *)
+
 val event_names : (string * string) list
 (** The [search.*] structured-event vocabulary (name, meaning) — kept in
     sync with doc/OBSERVABILITY.md by a drift test. *)

@@ -10,10 +10,15 @@ let default_capacity = 64
 
 (* -- keys ---------------------------------------------------------- *)
 
-let key ~app_name ~program_text ~design ~plan ~retry =
+let program_digest text = Digest.to_hex (Digest.string text)
+
+let fit_fingerprint = Model.Search.fingerprint Measure.Campaign.total_config
+
+let key ~fingerprint ~app_name ~program_digest ~design ~plan ~retry =
   let header = Measure.Campaign.header_line ~app_name ~plan ~retry design in
   Digest.to_hex
-    (Digest.string (Digest.to_hex (Digest.string program_text) ^ "\n" ^ header))
+    (Digest.string
+       (String.concat "\n" [ program_digest; fingerprint; header ]))
 
 (* -- entries ------------------------------------------------------- *)
 
@@ -194,13 +199,7 @@ let entry_of_line line =
 
 let fit ~app ~machine ~design ~plan ~retry ~key () =
   let report = Measure.Campaign.run ~plan ~retry app machine design in
-  let params =
-    List.filter_map
-      (fun (p, vs) -> if List.length vs > 1 then Some p else None)
-      design.Measure.Experiment.grid
-  in
-  let dataset = Measure.Experiment.total_dataset report.cp_runs ~params in
-  let result, rejected = Model.Search.multi_robust dataset in
+  let result, rejected = Measure.Campaign.fit_total design report in
   {
     e_key = key;
     e_app = app.Measure.Spec.aname;

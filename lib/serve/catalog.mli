@@ -13,18 +13,29 @@
 
 (** {1 Keys} *)
 
+val program_digest : string -> string
+(** Hex MD5 of a program's printed text: the code component of a key.
+    Computed once per program, not per request. *)
+
+val fit_fingerprint : string
+(** {!Model.Search.fingerprint} of {!Measure.Campaign.total_config}, the
+    search {!fit} runs; computed once at startup. *)
+
 val key :
+  fingerprint:string ->
   app_name:string ->
-  program_text:string ->
+  program_digest:string ->
   design:Measure.Experiment.design ->
   plan:Measure.Fault.plan ->
   retry:Measure.Campaign.retry ->
   string
-(** The catalog key: an MD5 hex digest over the program text digest plus
+(** The catalog key: an MD5 hex digest over the program digest, the fit
+    fingerprint ({!fit_fingerprint} for every served fit) and
     {!Measure.Campaign.header_line} — the same identity line that pins a
-    checkpoint journal to its campaign, so anything that would forbid a
+    checkpoint journal to its campaign.  So anything that would forbid a
     journal resume (app, grid, reps, mode, noise sigma and seed, fault
-    plan, retry policy) also changes the key. *)
+    plan, retry policy) changes the key, and so does any change to the
+    search space or algorithm that could select a different model. *)
 
 (** {1 Entries} *)
 
@@ -67,8 +78,8 @@ val fit :
   unit ->
   entry
 (** The cold path a catalog miss pays: execute the fault-injected
-    campaign and fit an outlier-robust total-runtime model over the grid
-    axes with more than one value (exactly what the [campaign] CLI
+    campaign and fit its total-runtime model with
+    {!Measure.Campaign.fit_total} (exactly what the [campaign] CLI
     fits).  Deliberately serial — the daemon parallelizes {e across}
     concurrent fits on its domain pool, and {!Par.Pool.map} must not be
     entered reentrantly.

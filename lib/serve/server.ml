@@ -82,24 +82,39 @@ let spent_core_hours t = t.spent
 (* -- request resolution -------------------------------------------- *)
 
 type resolved = {
-  rs_app : Registry.app;
+  rs_spec : Measure.Spec.app;
   rs_design : Measure.Experiment.design;
   rs_plan : Measure.Fault.plan;
   rs_retry : Measure.Campaign.retry;
   rs_key : string;
 }
 
+(* The servable apps with the code component of their keys, digested once
+   per process (forced only by the serial classification phase). *)
+let servable =
+  List.filter_map
+    (fun (t : Apps.Target.t) ->
+      Option.map
+        (fun (m : Apps.Target.measured) ->
+          ( t.name,
+            ( m,
+              lazy
+                (Catalog.program_digest (Ir.Pp.program_to_string t.program))
+            ) ))
+        t.measured)
+    Apps.Target.all
+
 let resolve (spec : Protocol.fit_spec) =
-  match Registry.find spec.fs_app with
+  match List.assoc_opt spec.fs_app servable with
   | None ->
       Error
         (Printf.sprintf "unknown app %S (known: %s)" spec.fs_app
-           (String.concat ", " Registry.names))
-  | Some r -> (
+           (String.concat ", " Apps.Target.measured_names))
+  | Some (m, program_digest) -> (
       match Measure.Fault.of_spec spec.fs_faults with
       | Error msg -> Error (Printf.sprintf "faults: %s" msg)
       | Ok plan ->
-          let grid = Option.value ~default:r.Registry.r_grid spec.fs_grid in
+          let grid = Option.value ~default:m.grid spec.fs_grid in
           let design =
             {
               Measure.Experiment.grid;
@@ -117,11 +132,12 @@ let resolve (spec : Protocol.fit_spec) =
             }
           in
           let key =
-            Catalog.key ~app_name:r.Registry.r_app.Measure.Spec.aname
-              ~program_text:(Registry.program_text r)
+            Catalog.key ~fingerprint:Catalog.fit_fingerprint
+              ~app_name:m.spec.Measure.Spec.aname
+              ~program_digest:(Lazy.force program_digest)
               ~design ~plan ~retry
           in
-          Ok { rs_app = r; rs_design = design; rs_plan = plan;
+          Ok { rs_spec = m.spec; rs_design = design; rs_plan = plan;
                rs_retry = retry; rs_key = key })
 
 (* -- stats --------------------------------------------------------- *)
@@ -280,7 +296,7 @@ let handle_batch t lines =
     ( rs.rs_key,
       try
         Ok
-          (Catalog.fit ~app:rs.rs_app.Registry.r_app ~machine:Registry.machine
+          (Catalog.fit ~app:rs.rs_spec ~machine:Mpi_sim.Machine.skylake_cluster
              ~design:rs.rs_design ~plan:rs.rs_plan ~retry:rs.rs_retry
              ~key:rs.rs_key ())
       with Invalid_argument msg | Failure msg -> Error msg )

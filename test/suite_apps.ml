@@ -343,8 +343,57 @@ let test_taint_soundness_niter () =
         (List.mem "niter" names || enclosing_ok))
     changed
 
+(* -- documentation drift ------------------------------------------------------ *)
+
+let read_file path =
+  let path = List.find Sys.file_exists [ "../" ^ path; path ] in
+  In_channel.with_open_bin path In_channel.input_all
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
+
+(* Every row of the committed Table 3 baseline, and each app's combined
+   coverage, appears verbatim in EXPERIMENTS.md's table. *)
+let test_table3_doc_matches_baseline () =
+  let module J = Measure.Jsonio in
+  let doc = read_file "EXPERIMENTS.md" in
+  let baseline =
+    match J.parse (read_file "bench/baselines/BENCH_table3.json") with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "BENCH_table3.json: %s" e
+  in
+  let get conv name j =
+    match Option.bind (J.member name j) conv with
+    | Some v -> v
+    | None -> Alcotest.failf "BENCH_table3.json: bad field %S" name
+  in
+  let check_row app cell f l =
+    let row = Printf.sprintf "| %s | %s | %d | %d |" app cell f l in
+    Alcotest.(check bool)
+      (Printf.sprintf "EXPERIMENTS.md has the row %s" row)
+      true (contains doc row)
+  in
+  List.iter
+    (fun (app, combined) ->
+      let cov = get Option.some app baseline in
+      List.iter
+        (fun r ->
+          check_row app
+            (Printf.sprintf "`%s`" (get J.to_str "param" r))
+            (get J.to_int "functions" r) (get J.to_int "loops" r))
+        (get J.to_list "rows" cov);
+      check_row app
+        (Printf.sprintf "`%s` combined" combined)
+        (get J.to_int "combined_functions" cov)
+        (get J.to_int "combined_loops" cov))
+    [ ("lulesh", "p,size"); ("milc", "p,nx,ny,nz,nt") ]
+
 let tests =
   [
+    Alcotest.test_case "EXPERIMENTS.md Table 3 matches its baseline" `Quick
+      test_table3_doc_matches_baseline;
     Alcotest.test_case "programs validate" `Quick test_programs_validate;
     Alcotest.test_case "heat.pir parses" `Quick test_heat_pir_parses;
     Alcotest.test_case "spec/program alignment" `Quick

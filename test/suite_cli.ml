@@ -1,8 +1,9 @@
-(** End-to-end tests of the CLI's failure paths: every anticipated error
-    — unknown app, unreadable path, parse error, malformed IR, runtime
-    error, exhausted step budget, bad fault spec — must surface as a
-    single-line message on stderr and a nonzero exit code, never as an
-    uncaught exception with a backtrace. *)
+(** End-to-end tests of the CLI: every APP-taking subcommand succeeds on
+    every measured app, and every anticipated error — unknown app,
+    unreadable path, parse error, malformed IR, runtime error, exhausted
+    step budget, bad fault spec, an app without a measurement spec — must
+    surface as a single-line message on stderr and a nonzero exit code,
+    never as an uncaught exception with a backtrace. *)
 
 (* Under `dune runtest` the cwd is _build/default/test and the binary is
    a declared dependency at ../bin/; under `dune exec` it is the project
@@ -119,8 +120,53 @@ let test_bad_fault_spec () =
   check_failure ~expect:"frobnicate"
     [ "campaign"; "lulesh"; "--faults"; "frobnicate=1" ]
 
+(* Every subcommand that runs a campaign refuses an app without a
+   measurement spec with one error naming the apps that have one. *)
 let test_campaign_needs_spec () =
-  check_failure ~expect:"measurement spec" [ "campaign"; "iterate" ]
+  let measured = String.concat ", " Apps.Target.measured_names in
+  List.iter
+    (fun (t : Apps.Target.t) ->
+      if t.measured = None then
+        List.iter
+          (fun cmd ->
+            check_failure
+              ~expect:
+                (Printf.sprintf "%s has no measurement spec (measured apps: %s)"
+                   t.name measured)
+              [ cmd; t.name ])
+          [ "model"; "contention"; "campaign" ])
+    Apps.Target.all
+
+(* -- every subcommand on every measured app ---------------------------------- *)
+
+(* One measured kernel per app bounds the [model] run to a single fit. *)
+let model_kernel = function
+  | "lulesh" -> "calc_accel_for_nodes"
+  | "milc" -> "axpy_sites"
+  | "minicg" -> "spmv"
+  | app -> Alcotest.failf "no model kernel chosen for %s" app
+
+let test_subcommand_matrix () =
+  List.iter
+    (fun app ->
+      List.iter
+        (fun args ->
+          let code, out, errs = run_cli args in
+          Alcotest.(check int)
+            (Printf.sprintf "%s exits 0 (stderr %S)" (String.concat " " args)
+               errs)
+            0 code;
+          if List.hd args = "model" then
+            Alcotest.(check bool)
+              (Printf.sprintf "model %s fits its kernel: %s" app out)
+              true (contains out "SMAPE"))
+        ([ "model"; app; "--func"; model_kernel app ]
+        :: List.map
+             (fun cmd -> [ cmd; app ])
+             [ "analyze"; "select"; "print"; "volume"; "coverage"; "run";
+               "profile"; "stats"; "design"; "validate"; "contention";
+               "campaign" ]))
+    Apps.Target.measured_names
 
 let test_resume_needs_journal () =
   check_failure ~expect:"--journal" [ "campaign"; "lulesh"; "--resume" ]
@@ -359,6 +405,8 @@ let tests =
     Alcotest.test_case "malformed fault spec" `Quick test_bad_fault_spec;
     Alcotest.test_case "campaign rejects spec-less apps" `Quick
       test_campaign_needs_spec;
+    Alcotest.test_case "every subcommand on every measured app" `Quick
+      test_subcommand_matrix;
     Alcotest.test_case "--resume requires --journal" `Quick
       test_resume_needs_journal;
     Alcotest.test_case "resume rejects a foreign journal" `Quick

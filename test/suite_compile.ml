@@ -410,18 +410,6 @@ let test_identity_on_heat_example () =
     (Perf_taint.Pipeline.SMap.equal ( = ) i.Perf_taint.Pipeline.deps
        c.Perf_taint.Pipeline.deps)
 
-(* Replays through Measure.Simulator agree between tiers on the bundled
-   app with an MPI world (mpi_comm_size taint source installed). *)
-let test_replay_engines_agree () =
-  let grid = [ ("p", [ 2.; 4. ]); ("size", [ 6.; 10. ]) ] in
-  let rs e =
-    Measure.Experiment.replay_runs ~engine:e Apps.Didactic.iterate_example
-      ~grid:[ ("size", [ 4.; 8. ]); ("step", [ 1.; 2. ]) ]
-  in
-  Alcotest.(check bool) "replay_runs identical" true
-    (rs Interp.Engine.Interpreted = rs Interp.Engine.Compiled);
-  ignore grid
-
 (* -- parallel campaigns -------------------------------------------------------
    The compile-identity oracle through the fuzz driver at several pool
    sizes: same verdicts, same case counts, no counterexamples. *)
@@ -566,8 +554,6 @@ let tests =
       test_identity_on_apps;
     Alcotest.test_case "bit-identity on examples/heat.pir" `Quick
       test_identity_on_heat_example;
-    Alcotest.test_case "replay_runs identical across engines" `Quick
-      test_replay_engines_agree;
     Alcotest.test_case "compile-identity fuzz at --jobs 1/2/7" `Quick
       test_fuzz_campaign_jobs;
     Alcotest.test_case "lowered-op table in sync with doc/IR.md" `Quick

@@ -236,41 +236,6 @@ let test_costdb_costs_positive () =
         (r.cost ~p:8 ~count:64 machine > 0.))
     Mpi_sim.Costdb.routines
 
-(* -- clean program replay (Plain-policy engine) ----------------------------- *)
-
-let test_replay_matches_tainted_run () =
-  let p = Apps.Didactic.iterate_example in
-  let r = Sim.replay p ~params:[ ("size", 10.); ("step", 2.) ] in
-  let m = Interp.Machine.create p in
-  let v, _ = Interp.Machine.run m [ Ir.Types.VInt 10; Ir.Types.VInt 2 ] in
-  Alcotest.(check bool) "same result value" true (r.Sim.rp_value = v);
-  Alcotest.(check int) "same step count" (Interp.Machine.steps_executed m)
-    r.Sim.rp_steps;
-  (* iterate(10^2, optimize_step 2) calls compute 50 times at 8 units. *)
-  Alcotest.(check int) "compute invocations" 50
-    (List.assoc "compute" r.Sim.rp_calls);
-  Alcotest.(check int) "compute work units" 400 (Sim.replay_work r "compute");
-  Alcotest.(check int) "no work outside compute" 0 (Sim.replay_work r "main")
-
-let test_replay_missing_param () =
-  try
-    ignore (Sim.replay Apps.Didactic.iterate_example ~params:[ ("size", 10.) ]);
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
-
-let test_replay_runs_grid () =
-  let grid = [ ("size", [ 4.; 8. ]); ("step", [ 2. ]) ] in
-  let rs = Exp.replay_runs Apps.Didactic.iterate_example ~grid in
-  Alcotest.(check int) "one replay per configuration" 2 (List.length rs);
-  let steps_at size =
-    let r =
-      List.find (fun r -> List.assoc "size" r.Sim.rp_params = size) rs
-    in
-    r.Sim.rp_steps
-  in
-  Alcotest.(check bool) "larger size executes more instructions" true
-    (steps_at 8. > steps_at 4.)
-
 (* -- sparse datasets --------------------------------------------------------------- *)
 
 (* [kernel_dataset] skips runs where the kernel was not observed — the
@@ -396,12 +361,6 @@ let tests =
     Alcotest.test_case "costs monotone in count" `Quick
       test_costdb_costs_monotone_in_count;
     Alcotest.test_case "costs positive" `Quick test_costdb_costs_positive;
-    Alcotest.test_case "replay agrees with the tainted run" `Quick
-      test_replay_matches_tainted_run;
-    Alcotest.test_case "replay rejects missing parameters" `Quick
-      test_replay_missing_param;
-    Alcotest.test_case "replay_runs covers the grid" `Quick
-      test_replay_runs_grid;
     Alcotest.test_case "kernel dataset skips unobserved runs" `Quick
       test_kernel_dataset_skips_unobserved;
     Alcotest.test_case "kernel dataset under mixed modes" `Quick

@@ -76,28 +76,26 @@ let entry ?(key = "deadbeef") ?(app = "lulesh") ?(const = 0.1) () =
 (* -- keys --------------------------------------------------------------------- *)
 
 let test_key_stability () =
-  let k () =
-    Cat.key ~app_name:"lulesh" ~program_text:"func @main() {}" ~design ~plan
-      ~retry
+  let key ?(fingerprint = Cat.fit_fingerprint) ?(code = "func @main() {}")
+      ?(design = design) ?(plan = plan) ?(retry = retry) () =
+    Cat.key ~fingerprint ~app_name:"lulesh"
+      ~program_digest:(Cat.program_digest code) ~design ~plan ~retry
   in
-  Alcotest.(check string) "same identity, same key" (k ()) (k ());
-  let base = k () in
+  Alcotest.(check string) "same identity, same key" (key ()) (key ());
+  let base = key () in
   List.iter
     (fun (what, k') ->
       Alcotest.(check bool) (what ^ " changes the key") true (base <> k'))
     [
-      ( "program text",
-        Cat.key ~app_name:"lulesh" ~program_text:"func @main(n) {}" ~design
-          ~plan ~retry );
-      ( "noise seed",
-        Cat.key ~app_name:"lulesh" ~program_text:"func @main() {}"
-          ~design:{ design with Exp.seed = 43 } ~plan ~retry );
-      ( "fault plan",
-        Cat.key ~app_name:"lulesh" ~program_text:"func @main() {}" ~design
-          ~plan:{ plan with Fault.fp_crash = 0.1 } ~retry );
+      ("program text", key ~code:"func @main(n) {}" ());
+      ("noise seed", key ~design:{ design with Exp.seed = 43 } ());
+      ("fault plan", key ~plan:{ plan with Fault.fp_crash = 0.1 } ());
       ( "retry policy",
-        Cat.key ~app_name:"lulesh" ~program_text:"func @main() {}" ~design
-          ~plan ~retry:{ retry with Camp.rt_max_attempts = 5 } );
+        key ~retry:{ retry with Camp.rt_max_attempts = 5 } () );
+      ( "search config",
+        key
+          ~fingerprint:(Model.Search.fingerprint Model.Search.extended_config)
+          () );
     ]
 
 (* -- entry round-trip --------------------------------------------------------- *)
