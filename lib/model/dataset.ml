@@ -11,8 +11,6 @@ type t = {
   points : point list;
 }
 
-let create params points = { params; points }
-
 let mean xs =
   match xs with
   | [] -> 0.

@@ -69,7 +69,7 @@ let extended_config =
 
 (* Bump on any change to how the search scores or selects hypotheses, so
    that fits memoized by an older build stop matching. *)
-let algorithm_version = 1
+let algorithm_version = 2
 
 (* Only the fields that change the selected model: metrics, pool and
    events are bit-identical by contract.  Floats in hex, so the text is
@@ -124,83 +124,56 @@ let model_of_fit (h : hypothesis) coeffs =
       List.mapi (fun i factors -> { Expr.coeff = coeffs.(i + 1); factors }) h;
   }
 
-(* -- allocation-light scoring -------------------------------------------- *)
+(* -- scoring --------------------------------------------------------------- *)
 
-(* Worker-local scratch for {!eval_hypothesis}: the leave-one-out
-   sub-design is an array of pointers into the shared row set plus a
-   sub-observation buffer, both reused across every candidate a worker
-   scores instead of rebuilt per (candidate, left-out point). *)
-type scratch = {
-  mutable sc_rows : float array array;
-  mutable sc_y : float array;
-}
+type scorer =
+  coords:(string * float) list array -> y:float array -> hypothesis ->
+  (Expr.model * float * float) option
 
-let scratch_for n =
-  let m = max 0 (n - 1) in
-  { sc_rows = Array.make m [||]; sc_y = Array.make m 0. }
+(* Leave-one-out in closed form: refitting without point i predicts it
+   as y_i − e_i/(1 − h_ii), from the full fit's residual e_i and leverage
+   h_ii = x_iᵀ(XᵀX)⁻¹x_i, so one factorization scores a hypothesis
+   instead of n+1.  h_ii = 1 exactly when point i alone spans some
+   direction of the design, i.e. dropping it leaves a singular
+   sub-design: such a hypothesis cannot be cross-validated and is
+   rejected.  1 − h_ii is scale-free, unlike the fit's absolute pivot
+   test.  With as few points as coefficients the error is the training
+   SMAPE.  Predictions reach [Dataset.smape] in reverse point order: the
+   summation order shows in the error's last bits, which catalogs and
+   baselines store. *)
+let min_loo_gap = 1e-8
 
-(* Score one hypothesis against the shared evaluation context: full fit,
-   RSS, and leave-one-out cross-validated SMAPE (falling back to the
-   training SMAPE when there are too few points to refit).  The floats
-   are bit-identical to the historical per-candidate path that rebuilt
-   the design matrix for every sub-fit: rows are built once and shared
-   between the full fit and every leave-one-out sub-fit (same values,
-   same consumption order), and predictions accumulate in the same
-   (reversed) order fed to [Dataset.smape]. *)
-let eval_hypothesis ~points ~coords ~y scratch (h : hypothesis) =
+let closed_form_loo ~coords ~y (h : hypothesis) =
   let n = Array.length coords in
-  let cols = List.length h + 1 in
-  let rows = Array.map (fun c -> design_row h c) coords in
-  match Linalg.least_squares rows y with
-  | None -> None
-  | Some coeffs ->
-    let rss = Linalg.residual_sum_of_squares rows y coeffs in
-    let m = model_of_fit h coeffs in
-    let err =
-      if n <= cols then
-        Some (Dataset.smape (List.map (fun (c, yv) -> (Expr.eval m c, yv)) points))
-      else begin
-        if Array.length scratch.sc_rows <> n - 1 then begin
-          scratch.sc_rows <- Array.make (n - 1) [||];
-          scratch.sc_y <- Array.make (n - 1) 0.
-        end;
-        let sub = scratch.sc_rows and suby = scratch.sc_y in
-        let preds = ref [] in
-        let ok = ref true in
-        let i = ref 0 in
-        while !ok && !i < n do
-          let left_out = !i in
-          let k = ref 0 in
-          for j = 0 to n - 1 do
-            if j <> left_out then begin
-              sub.(!k) <- rows.(j);
-              suby.(!k) <- y.(j);
-              incr k
-            end
-          done;
-          (match Linalg.least_squares sub suby with
-          | None -> ok := false
-          | Some sub_coeffs ->
-            let sm = model_of_fit h sub_coeffs in
-            preds := (Expr.eval sm coords.(left_out), y.(left_out)) :: !preds);
-          incr i
-        done;
-        if !ok then Some (Dataset.smape !preds) else None
-      end
-    in
-    (match err with
-    | None -> None
-    | Some err -> Some (m, err, rss, List.length h))
+  let rows = Array.map (design_row h) coords in
+  Option.bind (Linalg.fit rows y) @@ fun fit ->
+  let resid = Linalg.residuals rows y fit.coeffs in
+  let m = model_of_fit h fit.coeffs in
+  let rec loo i preds =
+    if i = n then Some (Dataset.smape preds)
+    else
+      let gap = 1. -. Linalg.leverage fit rows.(i) in
+      if not (gap > min_loo_gap) then None
+      else loo (i + 1) ((y.(i) -. (resid.(i) /. gap), y.(i)) :: preds)
+  in
+  let err =
+    if n > Array.length fit.coeffs then loo 0 []
+    else
+      let fitted i = (Expr.eval m coords.(i), y.(i)) in
+      Some (Dataset.smape (List.init n fitted))
+  in
+  let rss = Array.fold_left (fun acc d -> acc +. (d *. d)) 0. resid in
+  Option.map (fun err -> (m, err, rss)) err
 
 (* Search-cost accounting: resolved once per select_best call; a [None]
    registry costs nothing on the scoring path. *)
 let bump = function None -> () | Some c -> Obs_metrics.incr c
 let bump_n n = function None -> () | Some c -> Obs_metrics.add c n
 
-let candidate_counter metrics cls =
-  Option.map
-    (fun reg -> Obs_metrics.counter reg ("search.candidates." ^ cls))
-    metrics
+let counter metrics name =
+  Option.map (fun reg -> Obs_metrics.counter reg name) metrics
+
+let candidate_counter metrics cls = counter metrics ("search.candidates." ^ cls)
 
 (* The search.* event vocabulary; doc/OBSERVABILITY.md lists exactly
    these (a drift test compares). *)
@@ -216,13 +189,12 @@ let event_names =
    be selected — otherwise noise on constant functions gets modeled.
 
    Scoring each candidate is independent of every other, so with a pool
-   the evaluations fan out over worker domains ([map_init] gives each
-   worker one private scratch); selection stays a serial fold on the
-   submitting domain, in candidate order, replicating the serial
-   accounting and tie-breaking exactly — the chosen model, error and
-   every search.* counter are bit-identical to the serial search. *)
-let select_best ?(min_improvement = 0.) ?metrics ?pool
-    ?(events = Obs_events.disabled) hypotheses points =
+   the evaluations fan out over worker domains; selection stays a serial
+   fold on the submitting domain, in candidate order, replicating the
+   serial accounting and tie-breaking exactly — the chosen model, error
+   and every search.* counter are bit-identical to the serial search. *)
+let select_best config ~(score : scorer) hypotheses points =
+  let { min_improvement; metrics; pool; events; _ } = config in
   let record_select_s =
     match
       Option.map (fun reg -> Obs_metrics.gauge reg "search.select_s") metrics
@@ -231,34 +203,29 @@ let select_best ?(min_improvement = 0.) ?metrics ?pool
     | Some g -> Obs_metrics.add_gauge g
   in
   Obs_clock.timed record_select_s @@ fun () ->
-  let evaluated =
-    Option.map (fun reg -> Obs_metrics.counter reg "search.evaluated") metrics
-  in
-  let rej_unfit =
-    Option.map
-      (fun reg -> Obs_metrics.counter reg "search.rejected.unfit")
-      metrics
-  in
-  let rej_threshold =
-    Option.map
-      (fun reg -> Obs_metrics.counter reg "search.rejected.threshold")
-      metrics
-  in
+  let evaluated = counter metrics "search.evaluated"
+  and rej_unfit = counter metrics "search.rejected.unfit"
+  and rej_threshold = counter metrics "search.rejected.threshold"
+  and lsq_solves = counter metrics "search.lsq_solves" in
   let coords = Array.of_list (List.map fst points) in
   let y = Array.of_list (List.map snd points) in
   let n = Array.length coords in
   (* The constant hypothesis [] is scored first to anchor the threshold;
      it rides at the head of the evaluation batch. *)
+  let candidates = [] :: hypotheses in
+  (* One factorization per hypothesis with at least as many points as
+     coefficients. *)
+  if Option.is_some lsq_solves then
+    List.iter (fun h -> if n > List.length h then bump lsq_solves) candidates;
+  let score h =
+    Option.map
+      (fun (m, err, rss) -> (m, err, rss, List.length h))
+      (score ~coords ~y h)
+  in
   let scored =
     match pool with
-    | Some p when Par.Pool.jobs p > 1 ->
-      Par.Pool.map_init p
-        ~init:(fun () -> scratch_for n)
-        (fun scratch h -> eval_hypothesis ~points ~coords ~y scratch h)
-        ([] :: hypotheses)
-    | _ ->
-      let scratch = scratch_for n in
-      List.map (eval_hypothesis ~points ~coords ~y scratch) ([] :: hypotheses)
+    | Some p when Par.Pool.jobs p > 1 -> Par.Pool.map p score candidates
+    | _ -> List.map score candidates
   in
   let tried = ref 0 in
   (* Best-so-far improvements are reported from the serial selection fold
@@ -349,13 +316,10 @@ let allowed_param constraints p =
   match constraints.allowed with None -> true | Some l -> List.mem p l
 
 (** Fit a model in one parameter from [(x, y-mean)] samples. *)
-let single ?(config = default_config) ?(constraints = unconstrained) ~param
-    samples =
+let single ?(config = default_config) ?(constraints = unconstrained)
+    ?(score = closed_form_loo) ~param samples =
   let points = List.map (fun (x, y) -> ([ (param, x) ], y)) samples in
-  let select_best =
-    select_best ~min_improvement:config.min_improvement ?metrics:config.metrics
-      ?pool:config.pool ~events:config.events
-  in
+  let select_best = select_best config ~score in
   if not (allowed_param constraints param) then select_best [] points
   else begin
     let terms = simple_terms config in
@@ -450,7 +414,8 @@ let point_value config (pt : Dataset.point) =
   | Mean -> Dataset.point_mean pt
   | Median -> Stats.median pt.Dataset.reps
 
-let multi ?(config = default_config) ?(constraints = unconstrained) data =
+let multi ?(config = default_config) ?(constraints = unconstrained)
+    ?(score = closed_form_loo) data =
   if data.Dataset.points = [] then
     invalid_arg "Model.Search.multi: empty dataset (no observed configurations)";
   let params = List.filter (allowed_param constraints) data.Dataset.params in
@@ -459,10 +424,7 @@ let multi ?(config = default_config) ?(constraints = unconstrained) data =
       (fun p -> (p.Dataset.coords, point_value config p))
       data.Dataset.points
   in
-  let select_best =
-    select_best ~min_improvement:config.min_improvement ?metrics:config.metrics
-      ?pool:config.pool ~events:config.events
-  in
+  let select_best = select_best config ~score in
   match params with
   | [] -> select_best [] points
   | [ p ] ->
@@ -470,7 +432,7 @@ let multi ?(config = default_config) ?(constraints = unconstrained) data =
     let samples =
       List.map (fun pt -> (Dataset.coord pt p, point_value config pt)) data.points
     in
-    let r = single ~config ~constraints ~param:p samples in
+    let r = single ~config ~constraints ~score ~param:p samples in
     (* Re-express the error against the full point set for comparability. *)
     { r with
       error =
@@ -498,10 +460,10 @@ let multi ?(config = default_config) ?(constraints = unconstrained) data =
           if List.length samples < 2 then None
           else begin
             let xs = List.map fst samples in
-            let best = single ~config ~constraints ~param:p samples in
+            let best = single ~config ~constraints ~score ~param:p samples in
             let best1 =
               single ~config:{ config with max_terms = 1 } ~constraints
-                ~param:p samples
+                ~score ~param:p samples
             in
             let terms =
               List.filter_map

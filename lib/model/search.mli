@@ -23,15 +23,16 @@ type config = {
   metrics : Obs_metrics.t option;
       (** when set, the search records [search.candidates.single_term],
           [search.candidates.two_term], [search.candidates.multi_param],
-          [search.evaluated], [search.rejected.unfit] and
-          [search.rejected.threshold] counters into this registry.
+          [search.evaluated], [search.lsq_solves],
+          [search.rejected.unfit] and [search.rejected.threshold]
+          counters into this registry.
           Default [None]: no accounting, no overhead. *)
   pool : Par.Pool.t option;
-      (** when set, candidate hypotheses are scored on this domain pool
-          (each worker reuses a private scratch design matrix); selection
-          stays a serial fold in candidate order, so the chosen model,
-          error, and every search.* counter are bit-identical to the
-          serial search.  Default [None]: serial scoring. *)
+      (** when set, candidate hypotheses are scored on this domain pool,
+          each one independently; selection stays a serial fold in
+          candidate order, so the chosen model, error, and every
+          search.* counter are bit-identical to the serial search.
+          Default [None]: serial scoring. *)
   events : Obs_events.sink;
       (** structured {!event_names} stream — best-so-far improvements
           ([search.best], debug) and the final selection
@@ -76,18 +77,40 @@ type result = {
   hypotheses_tried : int;
 }
 
+type hypothesis = (string * Expr.simple_term) list list
+(** Basis terms (products of per-parameter factors); intercept implicit. *)
+
+type scorer =
+  coords:(string * float) list array -> y:float array -> hypothesis ->
+  (Expr.model * float * float) option
+(** Fits a hypothesis to the points [(coords.(i), y.(i))]: its model,
+    leave-one-out SMAPE and RSS, or [None] if it cannot be fitted or
+    cross-validated. *)
+
+val closed_form_loo : scorer
+(** The default: one factorization per hypothesis; left-out predictions
+    y_i − e_i/(1 − h_ii) from the full fit's residuals and leverages.
+    Rejects when some 1 − h_ii ≤ 1e-8 (dropping point i leaves a
+    singular sub-design). *)
+
 val single :
   ?config:config ->
   ?constraints:constraints ->
+  ?score:scorer ->
   param:string ->
   (float * float) list ->
   result
 (** Best single-parameter model of [(x, y)] samples.  The constant model
     always participates; a hypothesis must beat it on cross-validated
-    error to be selected. *)
+    error to be selected.  [score] lets tests compare selections under a
+    reference scorer; [search.lsq_solves] counts the default's work. *)
 
 val multi :
-  ?config:config -> ?constraints:constraints -> Dataset.t -> result
+  ?config:config ->
+  ?constraints:constraints ->
+  ?score:scorer ->
+  Dataset.t ->
+  result
 (** Multi-parameter search: per-parameter best single models on slices
     where the other parameters sit at their minimum, then all
     additive/multiplicative compositions of their dominant terms.

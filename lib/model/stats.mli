@@ -1,12 +1,9 @@
-(** Model-quality statistics: R^2, adjusted R^2, AICc, relative errors,
-    bootstrap confidence intervals. *)
+(** Model-quality statistics: R^2, adjusted R^2, AICc, bootstrap CIs. *)
 
 type fit = (float * float) list
 (** Pairs of (prediction, observation). *)
 
-val mean : float list -> float
 val rss : fit -> float
-val tss : fit -> float
 
 val r_squared : fit -> float
 (** 1 = perfect; negative = worse than predicting the mean. *)
@@ -17,8 +14,6 @@ val adjusted_r_squared : k:int -> fit -> float
 val aic : ?corrected:bool -> k:int -> fit -> float
 (** Akaike information criterion under Gaussian residuals (AICc by
     default); lower is better. *)
-
-val relative_error : predicted:float -> observed:float -> float
 
 val median : float list -> float
 (** Median; [nan] on empty input. *)
@@ -43,9 +38,6 @@ val bootstrap_ci :
   float * float
 (** 95% bootstrap interval of a prediction at [coords], refitting on
     resampled points. *)
-
-val pairs_of_model : Expr.model -> Dataset.t -> fit
-val coefficients : Expr.model -> int
 
 type summary = {
   s_r2 : float;

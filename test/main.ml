@@ -10,6 +10,7 @@ let () =
       ("measure", Suite_measure.tests);
       ("pipeline", Suite_pipeline.tests);
       ("model", Suite_model.tests);
+      ("fit-oracle", Suite_fit_oracle.tests);
       ("apps", Suite_apps.tests);
       ("core", Suite_core.tests);
       ("volume", Suite_volume.tests);

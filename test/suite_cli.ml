@@ -139,7 +139,16 @@ let test_campaign_needs_spec () =
 
 (* -- every subcommand on every measured app ---------------------------------- *)
 
-(* One measured kernel per app bounds the [model] run to a single fit. *)
+(* The committed stdout of [model APP]: every kernel's selected model and
+   its SMAPE, so a numerics change that flips a selection fails here. *)
+let golden app =
+  read_file
+    (List.find Sys.file_exists
+       (List.map
+          (fun dir -> Filename.concat dir ("model." ^ app ^ ".out"))
+          [ "golden"; "test/golden" ]))
+
+(* A measured kernel per app, to exercise [model --func]. *)
 let model_kernel = function
   | "lulesh" -> "calc_accel_for_nodes"
   | "milc" -> "axpy_sites"
@@ -149,6 +158,7 @@ let model_kernel = function
 let test_subcommand_matrix () =
   List.iter
     (fun app ->
+      let expected = golden app in
       List.iter
         (fun args ->
           let code, out, errs = run_cli args in
@@ -156,11 +166,24 @@ let test_subcommand_matrix () =
             (Printf.sprintf "%s exits 0 (stderr %S)" (String.concat " " args)
                errs)
             0 code;
-          if List.hd args = "model" then
+          match args with
+          | [ "model"; _ ] ->
+            Alcotest.(check string)
+              ("model " ^ app ^ " matches its golden file") expected out
+          | "model" :: _ ->
+            (* the one kernel's line, as the full run prints it *)
+            List.iter
+              (fun line ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "model %s --func line %S in the golden file"
+                     app line)
+                  true (contains expected line))
+              (String.split_on_char '\n' out);
             Alcotest.(check bool)
               (Printf.sprintf "model %s fits its kernel: %s" app out)
-              true (contains out "SMAPE"))
-        ([ "model"; app; "--func"; model_kernel app ]
+              true (contains out "SMAPE")
+          | _ -> ())
+        ([ "model"; app ] :: [ "model"; app; "--func"; model_kernel app ]
         :: List.map
              (fun cmd -> [ cmd; app ])
              [ "analyze"; "select"; "print"; "volume"; "coverage"; "run";

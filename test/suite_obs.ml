@@ -272,7 +272,13 @@ let test_search_accounting () =
     (get "search.candidates.two_term" > 0);
   Alcotest.(check bool) "evaluated >= generated" true
     (get "search.evaluated"
-    >= get "search.candidates.single_term" + get "search.candidates.two_term")
+    >= get "search.candidates.single_term" + get "search.candidates.two_term");
+  (* One factorization per scored hypothesis: closed-form leave-one-out
+     needs no refits (refitting took n + 1 = 6 per hypothesis here). *)
+  Alcotest.(check bool) "some least-squares solves" true
+    (get "search.lsq_solves" > 0);
+  Alcotest.(check bool) "lsq_solves <= evaluated" true
+    (get "search.lsq_solves" <= get "search.evaluated")
 
 let test_simulator_accounting () =
   let reg = M.create () in
