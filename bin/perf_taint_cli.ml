@@ -86,7 +86,8 @@ let trace_arg =
   let doc =
     "Write a Chrome trace (chrome://tracing / Perfetto JSON) of the \
      analysis — pipeline phases, function-call spans, loop-entry instants \
-     — to $(docv)."
+     — to $(docv).  On $(b,model) it covers the whole command: also the \
+     measurement campaign and one span per fitted kernel."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -160,28 +161,36 @@ let error_guard f =
   | Failure msg -> `Error (false, msg)
   | Invalid_argument msg -> `Error (false, msg)
 
+(* The sink a command records into: disabled unless [trace] names a
+   file. *)
+let trace_sink trace =
+  match trace with None -> Obs_trace.disabled | Some _ -> Obs_trace.create ()
+
+(* Dump the recorded span/instant stream as Chrome trace JSON to the
+   file [trace] names, if any. *)
+let write_trace trace sink =
+  Option.iter
+    (fun path ->
+      (try Obs_trace.write_file sink path
+       with Sys_error msg ->
+         Fmt.epr "error: cannot write trace: %s@." msg;
+         exit 2);
+      Fmt.epr "trace: %d events written to %s@."
+        (List.length (Obs_trace.events sink))
+        path)
+    trace
+
+let analyze_into ?engine ?config ?metrics ?profile sink (t : Apps.Target.t) =
+  Perf_taint.Pipeline.analyze ?engine ?config ?metrics ?profile ~trace:sink
+    ~world:t.taint_world t.program ~args:t.taint_args
+
 (* Run the pipeline over a target; when [trace] names a file, record the
-   full span/instant stream and dump it as Chrome trace JSON. *)
-let analyze_target ?engine ?config ?metrics ?trace ?profile
-    (t : Apps.Target.t) =
-  match trace with
-  | None ->
-    Perf_taint.Pipeline.analyze ?engine ?config ?metrics ?profile
-      ~world:t.taint_world t.program ~args:t.taint_args
-  | Some path ->
-    let sink = Obs_trace.create () in
-    let a =
-      Perf_taint.Pipeline.analyze ?engine ?config ?metrics ?profile
-        ~trace:sink ~world:t.taint_world t.program ~args:t.taint_args
-    in
-    (try Obs_trace.write_file sink path
-     with Sys_error msg ->
-       Fmt.epr "error: cannot write trace: %s@." msg;
-       exit 2);
-    Fmt.epr "trace: %d events written to %s@."
-      (List.length (Obs_trace.events sink))
-      path;
-    a
+   full span/instant stream and dump it there. *)
+let analyze_target ?engine ?config ?metrics ?trace ?profile t =
+  let sink = trace_sink trace in
+  let a = analyze_into ?engine ?config ?metrics ?profile sink t in
+  write_trace trace sink;
+  a
 
 let events_arg =
   let doc =
@@ -479,13 +488,18 @@ let model_cmd =
     with_events events @@ fun events ->
     let t = resolve name ranks params in
     let m = measured t in
-    let a = analyze_target ?config:(config_of max_steps) ?trace t in
+    (* One trace of the whole command: the analysis, the campaign, and a
+       span per fitted kernel; written once everything has run. *)
+    let sink = trace_sink trace in
+    let a = analyze_into ?config:(config_of max_steps) sink t in
     let selective = selective_set a t in
     let design =
       { Measure.Experiment.grid = m.grid; reps = 5;
         mode = Measure.Instrument.Selective selective; sigma = 0.02; seed = 42 }
     in
     let runs =
+      Obs_trace.with_span sink ~cat:"measure" "experiment.run_design"
+      @@ fun () ->
       Measure.Experiment.run_design ?pool m.spec Mpi_sim.Machine.skylake_cluster
         design
     in
@@ -502,7 +516,12 @@ let model_cmd =
           Perf_taint.Modeling.constraints_aliased a mode
             ~model_params:t.model_params ~aliases:t.aliases fname
         in
-        let r = Model.Search.multi ~config ~constraints:c data in
+        let r =
+          Obs_trace.with_span sink ~cat:"model"
+            ~args:[ ("kernel", Obs_trace.String fname) ]
+            "search.multi"
+          @@ fun () -> Model.Search.multi ~config ~constraints:c data
+        in
         Fmt.pr "  %-36s %s  (SMAPE %.1f%%)@." fname
           (Model.Expr.to_string r.Model.Search.model)
           r.Model.Search.error
@@ -512,7 +531,8 @@ let model_cmd =
     (match func with
     | Some f -> fit f
     | None ->
-      List.iter fit (Measure.Instrument.SSet.elements selective))
+      List.iter fit (Measure.Instrument.SSet.elements selective));
+    write_trace trace sink
   in
   let doc =
     "Run a simulated measurement campaign and fit per-function performance \

@@ -64,20 +64,22 @@ let min_value t param =
   | [] -> invalid_arg "Dataset.min_value: empty dataset"
   | v :: _ -> v
 
+let smape_arrays ~rev pred obs =
+  let n = Array.length obs in
+  let total = ref 0. in
+  for k = 0 to n - 1 do
+    let i = if rev then n - 1 - k else k in
+    let denom = (Float.abs pred.(i) +. Float.abs obs.(i)) /. 2. in
+    if denom <> 0. then
+      total := !total +. (Float.abs (pred.(i) -. obs.(i)) /. denom)
+  done;
+  if n = 0 then 0. else 100. *. !total /. float_of_int n
+
 (** Symmetric mean absolute percentage error between predictions and
     observed means, in percent (Extra-P's model-selection metric). *)
 let smape pairs =
-  match pairs with
-  | [] -> 0.
-  | _ ->
-    let total =
-      List.fold_left
-        (fun acc (pred, obs) ->
-          let denom = (Float.abs pred +. Float.abs obs) /. 2. in
-          if denom = 0. then acc else acc +. (Float.abs (pred -. obs) /. denom))
-        0. pairs
-    in
-    100. *. total /. float_of_int (List.length pairs)
+  let pred, obs = List.split pairs in
+  smape_arrays ~rev:false (Array.of_list pred) (Array.of_list obs)
 
 (** Build a dataset from [(coords, reps)] rows. *)
 let of_rows params rows =

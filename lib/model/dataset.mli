@@ -35,3 +35,9 @@ val min_value : t -> string -> float
 val smape : (float * float) list -> float
 (** Symmetric mean absolute percentage error of (prediction, observation)
     pairs, in percent. *)
+
+val smape_arrays : rev:bool -> float array -> float array -> float
+(** [smape_arrays ~rev pred obs]: {!smape} of the pairs
+    [(pred.(i), obs.(i))] for every index of [obs], summed from the last
+    pair down when [rev] — the order of a consed pair list.  The sum's
+    order shows in the last bits. *)

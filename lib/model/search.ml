@@ -114,9 +114,6 @@ let simple_terms config =
         config.log_exponents)
     config.exponents
 
-let design_row (h : hypothesis) coords =
-  Array.of_list (1. :: List.map (fun factors -> Expr.eval_factors factors coords) h)
-
 let model_of_fit (h : hypothesis) coeffs =
   {
     Expr.const = coeffs.(0);
@@ -124,11 +121,18 @@ let model_of_fit (h : hypothesis) coeffs =
       List.mapi (fun i factors -> { Expr.coeff = coeffs.(i + 1); factors }) h;
   }
 
+(* The design of [h] over the points, column by column: the intercept's
+   ones, then each basis term's value at every point. *)
+let columns coords (h : hypothesis) =
+  Array.of_list
+    (Array.make (Array.length coords) 1.
+    :: List.map (fun factors -> Array.map (Expr.eval_factors factors) coords) h)
+
 (* -- scoring --------------------------------------------------------------- *)
 
 type scorer =
   coords:(string * float) list array -> y:float array -> hypothesis ->
-  (Expr.model * float * float) option
+  (float * float * float array) option
 
 (* Leave-one-out in closed form: refitting without point i predicts it
    as y_i − e_i/(1 − h_ii), from the full fit's residual e_i and leverage
@@ -138,32 +142,68 @@ type scorer =
    sub-design: such a hypothesis cannot be cross-validated and is
    rejected.  1 − h_ii is scale-free, unlike the fit's absolute pivot
    test.  With as few points as coefficients the error is the training
-   SMAPE.  Predictions reach [Dataset.smape] in reverse point order: the
-   summation order shows in the error's last bits, which catalogs and
-   baselines store. *)
+   SMAPE. *)
 let min_loo_gap = 1e-8
 
-let closed_form_loo ~coords ~y (h : hypothesis) =
-  let n = Array.length coords in
-  let rows = Array.map (design_row h) coords in
-  Option.bind (Linalg.fit rows y) @@ fun fit ->
-  let resid = Linalg.residuals rows y fit.coeffs in
-  let m = model_of_fit h fit.coeffs in
-  let rec loo i preds =
-    if i = n then Some (Dataset.smape preds)
+(* The kernel's buffers, sized for one search call's points and widest
+   hypothesis; each domain scoring candidates owns one. *)
+type scratch = {
+  ws : Linalg.workspace;
+  resid : float array;
+  aux : float array;  (* leverages, then left-out predictions *)
+}
+
+let scratch ~rows ~cols =
+  { ws = Linalg.workspace ~cols; resid = Array.make rows 0.;
+    aux = Array.make rows 0. }
+
+(* Scores the design [cols] against [y] in [s], allocating only the
+   result.  The operation order is a contract, since catalogs and
+   baselines store the last bits (doc/MODELING.md): residuals
+   y_i − Σ_j x_ij c_j summed from 0, RSS up the rows, training
+   predictions in [Expr.eval]'s order (c_0 + Σ_j c_j x_ij), and the
+   left-out predictions' SMAPE from the last point down. *)
+let loo_kernel s cols y =
+  let n = Array.length y and k = Array.length cols in
+  if not (Linalg.fit s.ws cols y) then None
+  else begin
+    let c = Linalg.coefficients s.ws and resid = s.resid and aux = s.aux in
+    let rss = ref 0. in
+    for i = 0 to n - 1 do
+      let fitted = ref 0. in
+      for j = 0 to k - 1 do fitted := !fitted +. (cols.(j).(i) *. c.(j)) done;
+      let e = y.(i) -. !fitted in
+      resid.(i) <- e;
+      rss := !rss +. (e *. e)
+    done;
+    let predicted =
+      if n > k then begin
+        Linalg.leverages s.ws cols aux;
+        let ok = ref true in
+        for i = 0 to n - 1 do
+          let gap = 1. -. aux.(i) in
+          if gap > min_loo_gap then aux.(i) <- y.(i) -. (resid.(i) /. gap)
+          else ok := false
+        done;
+        !ok
+      end
+      else begin
+        for i = 0 to n - 1 do
+          let pred = ref c.(0) in
+          for j = 1 to k - 1 do pred := !pred +. (c.(j) *. cols.(j).(i)) done;
+          aux.(i) <- !pred
+        done;
+        true
+      end
+    in
+    if not predicted then None
     else
-      let gap = 1. -. Linalg.leverage fit rows.(i) in
-      if not (gap > min_loo_gap) then None
-      else loo (i + 1) ((y.(i) -. (resid.(i) /. gap), y.(i)) :: preds)
-  in
-  let err =
-    if n > Array.length fit.coeffs then loo 0 []
-    else
-      let fitted i = (Expr.eval m coords.(i), y.(i)) in
-      Some (Dataset.smape (List.init n fitted))
-  in
-  let rss = Array.fold_left (fun acc d -> acc +. (d *. d)) 0. resid in
-  Option.map (fun err -> (m, err, rss)) err
+      Some (Dataset.smape_arrays ~rev:(n > k) aux y, !rss, Array.sub c 0 k)
+  end
+
+let closed_form_loo ~coords ~y h =
+  let cols = columns coords h in
+  loo_kernel (scratch ~rows:(Array.length y) ~cols:(Array.length cols)) cols y
 
 (* Search-cost accounting: resolved once per select_best call; a [None]
    registry costs nothing on the scoring path. *)
@@ -183,17 +223,33 @@ let event_names =
     ("search.selected", "the search finished and selected its model");
   ]
 
-(* Score every hypothesis; return the winner as a [result].  The constant
-   model (intercept only) always participates; a parametric hypothesis
-   must beat its cross-validated error by [min_improvement] (relative) to
-   be selected — otherwise noise on constant functions gets modeled.
+(* One candidate's fit as the selection fold sees it; the winner's
+   model is built from [coeffs] once the fold is done. *)
+type scored = {
+  h : hypothesis;
+  coeffs : float array;
+  err : float;
+  rss : float;
+  terms : int;
+}
 
-   Scoring each candidate is independent of every other, so with a pool
-   the evaluations fan out over worker domains; selection stays a serial
-   fold on the submitting domain, in candidate order, replicating the
-   serial accounting and tie-breaking exactly — the chosen model, error
-   and every search.* counter are bit-identical to the serial search. *)
-let select_best config ~(score : scorer) hypotheses points =
+(* Score every candidate — a hypothesis with its design columns, at
+   most [width] of them — and return the winner as a [result].  The
+   constant model (intercept only) always participates; a parametric
+   hypothesis must beat its cross-validated error by [min_improvement]
+   (relative) to be selected — otherwise noise on constant functions
+   gets modeled.
+
+   Serially, candidates are generated, scored and folded one at a time,
+   so no candidate outlives its turn unless it leads.  Scoring each
+   candidate is independent of every other, so with a pool the
+   candidates (columns included) are built first and the evaluations
+   fan out over worker domains, which read the columns and write only
+   their own scratch; selection stays a serial fold on the submitting
+   domain, in candidate order, replicating the serial accounting and
+   tie-breaking exactly — the chosen model, error and every search.*
+   counter are bit-identical to the serial search. *)
+let select_best config ?score ~coords ~y ~width candidates =
   let { min_improvement; metrics; pool; events; _ } = config in
   let record_select_s =
     match
@@ -207,37 +263,37 @@ let select_best config ~(score : scorer) hypotheses points =
   and rej_unfit = counter metrics "search.rejected.unfit"
   and rej_threshold = counter metrics "search.rejected.threshold"
   and lsq_solves = counter metrics "search.lsq_solves" in
-  let coords = Array.of_list (List.map fst points) in
-  let y = Array.of_list (List.map snd points) in
-  let n = Array.length coords in
-  (* The constant hypothesis [] is scored first to anchor the threshold;
-     it rides at the head of the evaluation batch. *)
-  let candidates = [] :: hypotheses in
+  let n = Array.length y in
   (* One factorization per hypothesis with at least as many points as
      coefficients. *)
-  if Option.is_some lsq_solves then
-    List.iter (fun h -> if n > List.length h then bump lsq_solves) candidates;
-  let score h =
+  let count_solve (h, _) =
+    match lsq_solves with
+    | Some c when n > List.length h -> Obs_metrics.incr c
+    | _ -> ()
+  in
+  let score_one s (h, cols) =
+    let fit =
+      match score with
+      | None -> loo_kernel s cols y
+      | Some score -> score ~coords ~y h
+    in
     Option.map
-      (fun (m, err, rss) -> (m, err, rss, List.length h))
-      (score ~coords ~y h)
+      (fun (err, rss, coeffs) -> { h; coeffs; err; rss; terms = List.length h })
+      fit
   in
-  let scored =
-    match pool with
-    | Some p when Par.Pool.jobs p > 1 -> Par.Pool.map p score candidates
-    | _ -> List.map score candidates
-  in
+  let init () = scratch ~rows:n ~cols:width in
+  let own = init () in
   let tried = ref 0 in
   (* Best-so-far improvements are reported from the serial selection fold
      on the submitting domain, so the event stream is deterministic and
      identical with or without a pool. *)
-  let emit_best (_, err, _, terms) =
+  let emit_best c =
     if Obs_events.enabled events then
       Obs_events.emit events ~severity:Obs_events.Debug ~component:"search"
         ~fields:
           [
-            ("error", Obs_events.Float err);
-            ("terms", Obs_events.Int terms);
+            ("error", Obs_events.Float c.err);
+            ("terms", Obs_events.Int c.terms);
             ("tried", Obs_events.Int !tried);
           ]
         "search.best"
@@ -246,54 +302,64 @@ let select_best config ~(score : scorer) hypotheses points =
     incr tried;
     bump evaluated;
     match scored_cand with
-    | Some ((_, cerr, crss, cterms) as cand) -> (
+    | Some c -> (
       match best with
-      | None -> Some cand
-      | Some (_, berr, brss, bterms) ->
+      | None -> Some c
+      | Some b ->
         (* Prefer lower CV error; break near-ties toward fewer terms,
            then lower RSS. *)
         if
-          cerr < berr -. 1e-9
-          || (Float.abs (cerr -. berr) <= 1e-9
-              && (cterms < bterms
-                  || (cterms = bterms && crss < brss)))
-        then Some cand
+          c.err < b.err -. 1e-9
+          || (Float.abs (c.err -. b.err) <= 1e-9
+              && (c.terms < b.terms || (c.terms = b.terms && c.rss < b.rss)))
+        then scored_cand
         else best)
     | None ->
       bump rej_unfit;
       best
   in
-  let constant_eval, hyp_evals =
-    match scored with c :: rest -> (c, rest) | [] -> (None, [])
-  in
-  let constant = consider None constant_eval in
-  (match constant with Some c -> emit_best c | None -> ());
+  (* The constant hypothesis [] is scored first to anchor the
+     threshold. *)
+  let constant_cand = ([], [| Array.make n 1. |]) in
+  count_solve constant_cand;
+  let constant = consider None (score_one own constant_cand) in
+  Option.iter emit_best constant;
   let threshold =
     match constant with
-    | Some (_, cerr, _, _) -> cerr *. (1. -. min_improvement)
+    | Some c -> c.err *. (1. -. min_improvement)
     | None -> Float.infinity
   in
+  let step best scored_cand =
+    let cand = consider best scored_cand in
+    match cand with
+    | Some c when c.terms = 0 || c.err <= threshold +. 1e-12 ->
+      if cand != best then emit_best c;
+      cand
+    | _ ->
+      (* Only a *new* candidate reaching this branch was beaten by the
+         constant-model margin; an unchanged best was counted already. *)
+      if cand != best then bump rej_threshold;
+      best
+  in
   let best =
-    List.fold_left
-      (fun best scored_cand ->
-        let cand = consider best scored_cand in
-        match cand with
-        | Some ((_, err, _, terms) as c)
-          when terms = 0 || err <= threshold +. 1e-12 ->
-          if cand != best then emit_best c;
-          cand
-        | _ ->
-          (* Only a *new* candidate reaching this branch was beaten by
-             the constant-model margin; an unchanged best was counted
-             already. *)
-          if cand != best then bump rej_threshold;
-          best)
-      constant hyp_evals
+    match pool with
+    | Some p when Par.Pool.jobs p > 1 ->
+      let candidates = List.of_seq candidates in
+      List.iter count_solve candidates;
+      List.fold_left step constant
+        (Par.Pool.map_init p ~init score_one candidates)
+    | _ ->
+      Seq.fold_left
+        (fun best cand ->
+          count_solve cand;
+          step best (score_one own cand))
+        constant candidates
   in
   let result =
     match best with
-    | Some (model, error, rss, _) ->
-      { model; error; rss; hypotheses_tried = !tried }
+    | Some c ->
+      { model = model_of_fit c.h c.coeffs; error = c.err; rss = c.rss;
+        hypotheses_tried = !tried }
     | None ->
       (* Degenerate data (e.g. no points): report a constant zero model. *)
       { model = Expr.constant 0.; error = 0.; rss = 0.;
@@ -316,31 +382,54 @@ let allowed_param constraints p =
   match constraints.allowed with None -> true | Some l -> List.mem p l
 
 (** Fit a model in one parameter from [(x, y-mean)] samples. *)
-let single ?(config = default_config) ?(constraints = unconstrained)
-    ?(score = closed_form_loo) ~param samples =
-  let points = List.map (fun (x, y) -> ([ (param, x) ], y)) samples in
-  let select_best = select_best config ~score in
-  if not (allowed_param constraints param) then select_best [] points
+let single ?(config = default_config) ?(constraints = unconstrained) ?score
+    ~param samples =
+  let xs = Array.of_list (List.map fst samples) in
+  let coords = Array.map (fun x -> [ (param, x) ]) xs in
+  let y = Array.of_list (List.map snd samples) in
+  let select_best = select_best config ?score ~coords ~y in
+  if not (allowed_param constraints param) then
+    select_best ~width:1 Seq.empty
   else begin
-    let terms = simple_terms config in
-    let n1 = List.map (fun t -> [ [ (param, t) ] ]) terms in
-    let n2 =
-      if config.max_terms < 2 then []
-      else
-        let arr = Array.of_list terms in
-        let acc = ref [] in
-        Array.iteri
-          (fun i a ->
-            Array.iteri
-              (fun j b ->
-                if j > i then acc := [ [ (param, a) ]; [ (param, b) ] ] :: !acc)
-              arr)
-          arr;
-        !acc
+    (* The basis table: each term of the menu evaluated once per sample,
+       its column shared by every hypothesis using the term. *)
+    let ones = Array.make (Array.length xs) 1. in
+    let basis =
+      Array.of_list
+        (List.map
+           (fun t -> ((param, t), Array.map (Expr.eval_simple t) xs))
+           (simple_terms config))
     in
-    bump_n (List.length n1) (candidate_counter config.metrics "single_term");
-    bump_n (List.length n2) (candidate_counter config.metrics "two_term");
-    select_best (n1 @ n2) points
+    let m = Array.length basis in
+    let n1 =
+      Seq.map
+        (fun (f, col) -> ([ [ f ] ], [| ones; col |]))
+        (Array.to_seq basis)
+    in
+    (* Every pair i < j, i descending and then j descending: the order
+       the two-term hypotheses have always been scored in, which decides
+       exact ties. *)
+    let down_to lo = Seq.init (m - lo) (fun d -> m - 1 - d) in
+    let n2 =
+      if config.max_terms < 2 then Seq.empty
+      else
+        Seq.concat_map
+          (fun i ->
+            let fa, ca = basis.(i) in
+            Seq.map
+              (fun j ->
+                let fb, cb = basis.(j) in
+                ([ [ fa ]; [ fb ] ], [| ones; ca; cb |]))
+              (down_to (i + 1)))
+          (down_to 0)
+    in
+    bump_n m (candidate_counter config.metrics "single_term");
+    bump_n
+      (if config.max_terms < 2 then 0 else m * (m - 1) / 2)
+      (candidate_counter config.metrics "two_term");
+    select_best
+      ~width:(if config.max_terms < 2 then 2 else 3)
+      (Seq.append n1 n2)
   end
 
 (* -- multi-parameter search ---------------------------------------------- *)
@@ -414,30 +503,30 @@ let point_value config (pt : Dataset.point) =
   | Mean -> Dataset.point_mean pt
   | Median -> Stats.median pt.Dataset.reps
 
-let multi ?(config = default_config) ?(constraints = unconstrained)
-    ?(score = closed_form_loo) data =
+let multi ?(config = default_config) ?(constraints = unconstrained) ?score
+    data =
   if data.Dataset.points = [] then
     invalid_arg "Model.Search.multi: empty dataset (no observed configurations)";
   let params = List.filter (allowed_param constraints) data.Dataset.params in
-  let points =
-    List.map
-      (fun p -> (p.Dataset.coords, point_value config p))
-      data.Dataset.points
+  let coords =
+    Array.of_list (List.map (fun p -> p.Dataset.coords) data.Dataset.points)
   in
-  let select_best = select_best config ~score in
+  let y = Array.of_list (List.map (point_value config) data.Dataset.points) in
+  let select_best = select_best config ?score ~coords ~y in
   match params with
-  | [] -> select_best [] points
+  | [] -> select_best ~width:1 Seq.empty
   | [ p ] ->
     (* Single free parameter: collapse coordinates and delegate. *)
     let samples =
-      List.map (fun pt -> (Dataset.coord pt p, point_value config pt)) data.points
+      List.mapi (fun i pt -> (Dataset.coord pt p, y.(i))) data.Dataset.points
     in
-    let r = single ~config ~constraints ~score ~param:p samples in
+    let r = single ~config ~constraints ?score ~param:p samples in
     (* Re-express the error against the full point set for comparability. *)
     { r with
       error =
         Dataset.smape
-          (List.map (fun (c, y) -> (Expr.eval r.model c, y)) points) }
+          (List.init (Array.length y) (fun i ->
+               (Expr.eval r.model coords.(i), y.(i)))) }
   | _ ->
     (* Phase 1: candidate terms per parameter — the dominant term of the
        best single-parameter model plus the term of the best one-term
@@ -460,10 +549,10 @@ let multi ?(config = default_config) ?(constraints = unconstrained)
           if List.length samples < 2 then None
           else begin
             let xs = List.map fst samples in
-            let best = single ~config ~constraints ~score ~param:p samples in
+            let best = single ~config ~constraints ?score ~param:p samples in
             let best1 =
               single ~config:{ config with max_terms = 1 } ~constraints
-                ~score ~param:p samples
+                ?score ~param:p samples
             in
             let terms =
               List.filter_map
@@ -499,7 +588,10 @@ let multi ?(config = default_config) ?(constraints = unconstrained)
     in
     bump_n (List.length hypotheses)
       (candidate_counter config.metrics "multi_param");
-    select_best hypotheses points
+    select_best
+      ~width:
+        (1 + List.fold_left (fun w h -> max w (List.length h)) 0 hypotheses)
+      (Seq.map (fun h -> (h, columns coords h)) (List.to_seq hypotheses))
 
 (* -- degradation-tolerant search ------------------------------------------ *)
 

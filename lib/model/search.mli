@@ -29,9 +29,11 @@ type config = {
           Default [None]: no accounting, no overhead. *)
   pool : Par.Pool.t option;
       (** when set, candidate hypotheses are scored on this domain pool,
-          each one independently; selection stays a serial fold in
-          candidate order, so the chosen model, error, and every
-          search.* counter are bit-identical to the serial search.
+          each one independently from design columns built beforehand,
+          each worker domain in its own scratch; selection stays a
+          serial fold in candidate order, so the chosen model, error,
+          and every search.* counter are bit-identical to the serial
+          search.
           Default [None]: serial scoring. *)
   events : Obs_events.sink;
       (** structured {!event_names} stream — best-so-far improvements
@@ -82,16 +84,17 @@ type hypothesis = (string * Expr.simple_term) list list
 
 type scorer =
   coords:(string * float) list array -> y:float array -> hypothesis ->
-  (Expr.model * float * float) option
-(** Fits a hypothesis to the points [(coords.(i), y.(i))]: its model,
-    leave-one-out SMAPE and RSS, or [None] if it cannot be fitted or
+  (float * float * float array) option
+(** Fits a hypothesis to the points [(coords.(i), y.(i))]: its
+    leave-one-out SMAPE, RSS and coefficients (intercept first, then
+    the hypothesis' terms), or [None] if it cannot be fitted or
     cross-validated. *)
 
 val closed_form_loo : scorer
-(** The default: one factorization per hypothesis; left-out predictions
-    y_i − e_i/(1 − h_ii) from the full fit's residuals and leverages.
-    Rejects when some 1 − h_ii ≤ 1e-8 (dropping point i leaves a
-    singular sub-design). *)
+(** The search's own scorer, on a freshly built design: one
+    factorization per hypothesis; left-out predictions y_i − e_i/(1 − h_ii)
+    from the full fit's residuals and leverages.  Rejects when some
+    1 − h_ii ≤ 1e-8 (dropping point i leaves a singular sub-design). *)
 
 val single :
   ?config:config ->
@@ -102,8 +105,10 @@ val single :
   result
 (** Best single-parameter model of [(x, y)] samples.  The constant model
     always participates; a hypothesis must beat it on cross-validated
-    error to be selected.  [score] lets tests compare selections under a
-    reference scorer; [search.lsq_solves] counts the default's work. *)
+    error to be selected.  Without [score], each term of the menu is
+    evaluated once per sample and every hypothesis is scored by the
+    closed-form kernel over those columns; [score] lets tests substitute
+    a reference scorer.  [search.lsq_solves] counts the kernel's work. *)
 
 val multi :
   ?config:config ->

@@ -191,6 +191,52 @@ let test_subcommand_matrix () =
                "campaign" ]))
     Apps.Target.measured_names
 
+(* Occurrences of [needle] in [hay]. *)
+let count hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec from i acc =
+    if i + nn > nh then acc
+    else if String.sub hay i nn = needle then from (i + nn) (acc + 1)
+    else from (i + 1) acc
+  in
+  from 0 0
+
+(* [model --trace] records the whole command: the analysis, one
+   campaign span, and one fit span per kernel the golden output shows a
+   model for, each naming its kernel. *)
+let test_model_trace () =
+  let path = Filename.temp_file "model" ".trace.json" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let code, out, errs = run_cli [ "model"; "lulesh"; "--trace"; path ] in
+  Alcotest.(check int) (Printf.sprintf "exits 0 (stderr %S)" errs) 0 code;
+  Alcotest.(check string) "stdout unchanged by --trace" (golden "lulesh") out;
+  let trace = read_file path in
+  let kernels =
+    List.filter_map
+      (fun line ->
+        if contains line "SMAPE" then
+          Some (List.hd (String.split_on_char ' ' (String.trim line)))
+        else None)
+      (String.split_on_char '\n' (golden "lulesh"))
+  in
+  let spans name ph =
+    count trace (Printf.sprintf "{\"name\": \"%s\", \"ph\": \"%s\"" name ph)
+  in
+  Alcotest.(check int) "one search.multi span per fitted kernel"
+    (List.length kernels) (spans "search.multi" "B");
+  Alcotest.(check int) "every search.multi span closed" (List.length kernels)
+    (spans "search.multi" "E");
+  Alcotest.(check int) "one experiment.run_design span" 1
+    (spans "experiment.run_design" "B");
+  Alcotest.(check int) "the analysis' static phase" 1
+    (spans "pipeline.static" "B");
+  List.iter
+    (fun k ->
+      Alcotest.(check int) ("one fit span names " ^ k) 1
+        (count trace (Printf.sprintf "\"kernel\": \"%s\"" k)))
+    kernels
+
 let test_resume_needs_journal () =
   check_failure ~expect:"--journal" [ "campaign"; "lulesh"; "--resume" ]
 
@@ -430,6 +476,8 @@ let tests =
       test_campaign_needs_spec;
     Alcotest.test_case "every subcommand on every measured app" `Quick
       test_subcommand_matrix;
+    Alcotest.test_case "model --trace spans the whole command" `Quick
+      test_model_trace;
     Alcotest.test_case "--resume requires --journal" `Quick
       test_resume_needs_journal;
     Alcotest.test_case "resume rejects a foreign journal" `Quick

@@ -204,34 +204,93 @@ let test_campaign_kill_resume_parallel () =
 
 (* -- model-search bit-identity ------------------------------------------------ *)
 
-let search_identity app p_values size_values name =
-  let design =
+let design_runs app p_values size_values =
+  Exp.run_design app machine
     { Exp.grid = [ ("p", p_values); ("size", size_values); ("r", [ 8. ]) ];
       reps = 3; mode = Instr.Full; sigma = 0.02; seed = 42 }
+
+let fit_params = [ "p"; "size" ]
+
+(* Every fit runs serially and on pools of every size in [jobs_axis]:
+   the result and every search.* counter must be identical.  Pooled
+   scoring gives each domain its own kernel scratch ([Par.Pool.map_init])
+   sized for the call, so fits of differing point counts and hypothesis
+   widths also guard that no scratch is shared or reused stale.  Each
+   fit takes the observability fields to put into its config. *)
+let search_identity name runs extra =
+  let total = Exp.total_dataset runs ~params:fit_params in
+  let fits =
+    ( name ^ " robust fit",
+      fun obs ->
+        (* its rejection count is settled before any scoring *)
+        fst
+          (Model.Search.multi_robust
+             ~config:(obs Model.Search.default_config) total) )
+    :: extra
   in
-  let runs = Exp.run_design app machine design in
-  let data = Exp.total_dataset runs ~params:[ "p"; "size" ] in
-  let serial = Model.Search.multi_robust data in
+  let run pool (_, fit) =
+    let metrics = M.create () in
+    let r =
+      fit (fun c -> { c with Model.Search.metrics = Some metrics; pool })
+    in
+    (r, M.counters_with_prefix (M.snapshot metrics) "search.")
+  in
+  let serial = List.map (run None) fits in
+  List.iter2
+    (fun (label, _) (_, counters) ->
+      Alcotest.(check bool)
+        (label ^ " counts its evaluations")
+        true
+        (List.assoc_opt "evaluated" counters <> None))
+    fits serial;
   List.iter
     (fun jobs ->
       P.with_pool ~jobs (fun pool ->
-          let config =
-            { Model.Search.default_config with Model.Search.pool = Some pool }
-          in
-          let par = Model.Search.multi_robust ~config data in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s robust fit identical at jobs=%d" name jobs)
-            true
-            (compare serial par = 0)))
+          List.iter2
+            (fun ((label, _) as fit) expected ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s and search.* counters identical at jobs=%d"
+                   label jobs)
+                true
+                (compare expected (run (Some pool) fit) = 0))
+            fits serial))
     jobs_axis
 
+(* Tainted lulesh kernel modeled in [size] alone: [multi] delegates to
+   [single] on all 25 points of the 5x5 grid. *)
 let test_search_parallel_identity_lulesh () =
-  search_identity Apps.Lulesh_spec.app Apps.Lulesh_spec.p_values
-    Apps.Lulesh_spec.size_values "lulesh"
+  let runs =
+    design_runs Apps.Lulesh_spec.app Apps.Lulesh_spec.p_values
+      Apps.Lulesh_spec.size_values
+  in
+  let kernel =
+    Exp.kernel_dataset runs ~params:fit_params ~kernel:"calc_accel_for_nodes"
+  in
+  Alcotest.(check int) "kernel measured on the whole grid" 25
+    (List.length kernel.Model.Dataset.points);
+  let constraints =
+    { Model.Search.allowed = Some [ "size" ]; multiplicative = None }
+  in
+  search_identity "lulesh" runs
+    [ ( "lulesh kernel in size only",
+        fun obs ->
+          Model.Search.multi ~config:(obs Model.Search.default_config)
+            ~constraints kernel ) ]
 
+(* milc, like minicg, is modeled with the extended (negative-exponent)
+   search space. *)
 let test_search_parallel_identity_minicg () =
-  search_identity Apps.Minicg_spec.app Apps.Minicg_spec.p_values
-    Apps.Minicg_spec.n_values "minicg"
+  let milc =
+    Exp.total_dataset ~params:fit_params
+      (design_runs Apps.Milc_spec.app Apps.Milc_spec.p_values
+         Apps.Milc_spec.size_values)
+  in
+  search_identity "minicg"
+    (design_runs Apps.Minicg_spec.app Apps.Minicg_spec.p_values
+       Apps.Minicg_spec.n_values)
+    [ ( "milc extended-config fit",
+        fun obs ->
+          Model.Search.multi ~config:(obs Model.Search.extended_config) milc ) ]
 
 (* -- fuzz-driver report identity ---------------------------------------------- *)
 
